@@ -1,15 +1,18 @@
-// Hot-path microbenchmarks: envelope scoring, subgraph extraction, CSR
-// construction and the portfolio engine on the generated suite. These are
+// Hot-path microbenchmarks: Matrix Market parsing, envelope scoring,
+// subgraph extraction, CSR construction and the portfolio engine on the
+// generated suite. These are
 // the per-candidate costs of the pipeline; cmd/benchjson turns their output
 // into the BENCH_pipeline.json artifact and CI gates the allocation counts.
 package envred_test
 
 import (
+	"bytes"
 	"testing"
 
 	envred "repro"
 	"repro/internal/envelope"
 	"repro/internal/graph"
+	"repro/internal/mm"
 )
 
 // benchDisconnected builds a multi-component graph (a union of grids) used
@@ -68,6 +71,25 @@ func BenchmarkSubgraph(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range comps {
 			_, _ = g.Subgraph(c)
+		}
+	}
+}
+
+// BenchmarkReadGraph measures Matrix Market parsing straight into the CSR
+// graph — the dominant server cost of a warm daemon request — on the
+// 3.2 MB body of a 300×300 grid.
+func BenchmarkReadGraph(b *testing.B) {
+	var buf bytes.Buffer
+	if err := mm.WriteGraph(&buf, graph.Grid(300, 300)); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mm.ReadGraph(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

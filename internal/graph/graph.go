@@ -133,10 +133,9 @@ func (g *Graph) Nonzeros() int { return g.N() + g.M() }
 // Duplicate edges and self-loops are discarded; edges may be added in any
 // order and direction.
 type Builder struct {
-	n     int
-	us    []int32
-	vs    []int32
-	valid bool
+	n  int
+	us []int32
+	vs []int32
 }
 
 // NewBuilder returns a Builder for a graph on n vertices.
@@ -144,7 +143,19 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, valid: true}
+	return &Builder{n: n}
+}
+
+// Grow reserves room for m more edges, so that many AddEdge calls do not
+// reallocate. m is a hint: callers sizing it from untrusted input should
+// cap it.
+func (b *Builder) Grow(m int) {
+	// One make each, rather than slices.Grow, whose append-of-make costs
+	// a second, temporary allocation in race-instrumented builds.
+	if m > 0 && cap(b.us)-len(b.us) < m {
+		b.us = append(make([]int32, 0, len(b.us)+m), b.us...)
+		b.vs = append(make([]int32, 0, len(b.vs)+m), b.vs...)
+	}
 }
 
 // AddEdge records the undirected edge {u,v}. Self-loops are ignored.
@@ -219,7 +230,11 @@ func (b *Builder) Build() *Graph {
 		xadj[v] = start
 	}
 	xadj[n] = out
-	return &Graph{Xadj: xadj, Adj: append([]int32(nil), adj[:out]...)}
+	if out < nArcs {
+		// Duplicates were dropped: copy so the graph does not pin the slack.
+		adj = append([]int32(nil), adj[:out]...)
+	}
+	return &Graph{Xadj: xadj, Adj: adj}
 }
 
 // FromEdges builds a graph on n vertices from an edge list. It is a

@@ -31,6 +31,32 @@ func TestBuilderDedupAndSelfLoops(t *testing.T) {
 	}
 }
 
+// Grow reserves room up front: the edge arrays never move while the
+// hinted edges are added. Build, which skips its final copy when no
+// duplicate was dropped, gives the same graph either way.
+func TestBuilderGrowAndBuild(t *testing.T) {
+	const n = 100
+	b := NewBuilder(n)
+	b.Grow(n - 1)
+	b.AddEdge(0, 1)
+	us, vs := &b.us[0], &b.vs[0]
+	for v := 2; v < n; v++ {
+		b.AddEdge(v-1, v)
+	}
+	if &b.us[0] != us || &b.vs[0] != vs {
+		t.Fatal("AddEdge reallocated within the Grow hint")
+	}
+	g := b.Build()
+	if err := g.Validate(); err != nil || g.M() != n-1 {
+		t.Fatalf("path: M=%d, %v", g.M(), err)
+	}
+	b.AddEdge(1, 0) // a duplicate: Build must compact
+	d := b.Build()
+	if err := d.Validate(); err != nil || !reflect.DeepEqual(d.Xadj, g.Xadj) || !reflect.DeepEqual(d.Adj, g.Adj) {
+		t.Fatalf("a duplicate changed the graph: %v", err)
+	}
+}
+
 func TestBuilderEmptyAndSingleton(t *testing.T) {
 	g := NewBuilder(0).Build()
 	if g.N() != 0 || g.M() != 0 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -218,28 +219,18 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 				if err1 != nil || err2 != nil {
 					return nil, nil, fmt.Errorf("mm: bad HB complex value at %d", i)
 				}
-				vals[i] = abs2(re, im)
+				vals[i] = math.Hypot(re, im)
 			} else {
 				v, err := fortranFloat(valS[i])
 				if err != nil {
 					return nil, nil, fmt.Errorf("mm: bad HB value %q", valS[i])
 				}
-				if v < 0 {
-					v = -v
-				}
-				vals[i] = v
+				vals[i] = math.Abs(v)
 			}
 		}
 	}
 
-	key := func(u, v int) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		return int64(u)<<32 | int64(v)
-	}
-	weights := make(map[int64]float64)
-	minPos := 0.0
+	weights := newEdgeWeights(0)
 	b := graph.NewBuilder(nrow)
 	idx := 0
 	for col := 0; col < ncol; col++ {
@@ -254,57 +245,8 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 				continue
 			}
 			b.AddEdge(row-1, col)
-			w := vals[p-1]
-			k := key(row-1, col)
-			if w > weights[k] {
-				weights[k] = w
-			}
-			if w > 0 && (minPos == 0 || w < minPos) {
-				minPos = w
-			}
+			weights.add(row-1, col, vals[p-1])
 		}
 	}
-	if minPos == 0 {
-		minPos = 1
-	}
-	g := b.Build()
-	weight := func(u, v int) float64 {
-		if w := weights[key(u, v)]; w > 0 {
-			return w
-		}
-		return minPos
-	}
-	return g, weight, nil
-}
-
-func abs2(re, im float64) float64 {
-	if re < 0 {
-		re = -re
-	}
-	if im < 0 {
-		im = -im
-	}
-	if re == 0 {
-		return im
-	}
-	if im == 0 {
-		return re
-	}
-	// hypot without importing math twice; precision is irrelevant for
-	// ordering weights.
-	if re < im {
-		re, im = im, re
-	}
-	r := im / re
-	return re * sqrt1p(r*r)
-}
-
-func sqrt1p(x float64) float64 {
-	// Newton iteration for sqrt(1+x), x ∈ [0,1]; three steps suffice for
-	// weight purposes.
-	y := 1 + x/2
-	for i := 0; i < 3; i++ {
-		y = 0.5 * (y + (1+x)/y)
-	}
-	return y
+	return b.Build(), weights.fn(), nil
 }

@@ -74,6 +74,7 @@ func TestReadErrors(t *testing.T) {
 		"out of range":  "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n3 1\n",
 		"short entries": "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 5\n1 1\n2 1\n",
 		"bad size line": "%%MatrixMarket matrix coordinate pattern symmetric\nx y z\n",
+		"negative size": "%%MatrixMarket matrix coordinate pattern symmetric\n-3 -3 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadGraph(strings.NewReader(in)); err == nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/graph"
 )
@@ -13,112 +12,94 @@ import (
 // ReadWeighted parses a Matrix Market coordinate file keeping the entry
 // magnitudes: it returns the pattern graph together with a symmetric
 // weight function weight(u,v) = |a_uv| suitable for the weighted spectral
-// ordering (core.WeightedSpectral). Pattern files get unit weights;
-// duplicate entries keep the last value; for "general" matrices the
-// magnitudes of a_uv and a_vu may differ, in which case the larger wins.
-// Zero-valued stored entries receive the smallest positive stored
-// magnitude so the weight function stays positive on the pattern.
+// ordering (core.WeightedSpectral). Pattern files get unit weights; when
+// an edge is stored more than once (duplicates, or a_uv and a_vu of a
+// "general" matrix) the largest magnitude wins. Zero-valued stored entries
+// receive the smallest positive stored magnitude so the weight function
+// stays positive on the pattern.
 func ReadWeighted(r io.Reader) (*graph.Graph, func(u, v int) float64, error) {
-	lr := newLineReader(r)
-	header, err := lr.next()
-	if err != nil {
-		return nil, nil, fmt.Errorf("mm: reading header: %w", err)
-	}
-	fields := strings.Fields(strings.ToLower(header))
-	if len(fields) < 4 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
-		return nil, nil, fmt.Errorf("mm: not a Matrix Market file: %q", strings.TrimSpace(header))
-	}
-	if fields[2] != "coordinate" {
-		return nil, nil, fmt.Errorf("mm: only coordinate format supported, got %q", fields[2])
-	}
-	valType := fields[3]
-	hasValues := valType == "real" || valType == "integer" || valType == "complex"
-
-	sizeLine, err := lr.sizeLine()
+	s := newScanner(r)
+	h, err := s.readHeader()
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows, cols, nnz int
-	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
-		return nil, nil, fmt.Errorf("mm: bad size line %q: %w", sizeLine, err)
-	}
-	if rows != cols {
-		return nil, nil, fmt.Errorf("mm: matrix is %dx%d, want square", rows, cols)
-	}
+	hasValues := h.valType != "pattern"
 
-	key := func(u, v int) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		return int64(u)<<32 | int64(v)
-	}
-	weights := make(map[int64]float64, nnz)
-	b := graph.NewBuilder(rows)
-	read := 0
-	minPos := math.Inf(1)
-	for read < nnz {
-		line, err := lr.next()
+	weights := newEdgeWeights(min(h.nnz, maxWeightPresize))
+	b := graph.NewBuilder(h.n)
+	b.Grow(min(h.nnz, maxPresize))
+	for read := 0; read < h.nnz; read++ {
+		i, j, rest, err := s.entry(h, read)
 		if err != nil {
-			if err == io.EOF {
-				return nil, nil, fmt.Errorf("mm: expected %d entries, got %d (truncated file?)", nnz, read)
-			}
-			return nil, nil, fmt.Errorf("mm: %w", err)
-		}
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "%") {
-			continue
-		}
-		f := strings.Fields(t)
-		if len(f) < 2 {
-			return nil, nil, fmt.Errorf("mm: bad entry line %q", t)
-		}
-		i, err1 := strconv.Atoi(f[0])
-		j, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil {
-			return nil, nil, fmt.Errorf("mm: bad indices in %q", t)
-		}
-		if i < 1 || i > rows || j < 1 || j > rows {
-			return nil, nil, fmt.Errorf("mm: entry (%d,%d) out of range [1,%d]", i, j, rows)
+			return nil, nil, err
 		}
 		w := 1.0
 		if hasValues {
-			if len(f) < 3 {
-				return nil, nil, fmt.Errorf("mm: missing value in %q", t)
+			re := skipSpace(rest, 0)
+			if re == len(rest) {
+				return nil, nil, fmt.Errorf("mm: missing value in entry (%d,%d)", i, j)
 			}
-			v, err := strconv.ParseFloat(f[2], 64)
+			ree := fieldEnd(rest, re)
+			v, err := strconv.ParseFloat(string(rest[re:ree]), 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("mm: bad value in %q: %w", t, err)
+				return nil, nil, fmt.Errorf("mm: bad value in entry (%d,%d): %w", i, j, err)
 			}
 			w = math.Abs(v)
-			if valType == "complex" && len(f) >= 4 {
-				im, err := strconv.ParseFloat(f[3], 64)
+			if im := skipSpace(rest, ree); h.valType == "complex" && im < len(rest) {
+				imv, err := strconv.ParseFloat(string(rest[im:fieldEnd(rest, im)]), 64)
 				if err != nil {
-					return nil, nil, fmt.Errorf("mm: bad imaginary part in %q: %w", t, err)
+					return nil, nil, fmt.Errorf("mm: bad imaginary part in entry (%d,%d): %w", i, j, err)
 				}
-				w = math.Hypot(v, im)
+				w = math.Hypot(v, imv)
 			}
 		}
 		if i != j {
 			b.AddEdge(i-1, j-1)
-			k := key(i-1, j-1)
-			if w > weights[k] {
-				weights[k] = w
-			}
-			if w > 0 && w < minPos {
-				minPos = w
-			}
+			weights.add(i-1, j-1, w)
 		}
-		read++
 	}
+	return b.Build(), weights.fn(), nil
+}
+
+// edgeWeights keeps the largest magnitude stored for each undirected edge
+// and the smallest positive one overall, which edges stored only as zero
+// fall back to so the weight function stays positive on the pattern.
+type edgeWeights struct {
+	m      map[int64]float64
+	minPos float64
+}
+
+func newEdgeWeights(hint int) *edgeWeights {
+	return &edgeWeights{m: make(map[int64]float64, hint), minPos: math.Inf(1)}
+}
+
+func edgeKey(u, v int) int64 {
+	if u > v {
+		u, v = v, u
+	}
+	return int64(u)<<32 | int64(v)
+}
+
+// add records magnitude w for the edge {u,v}.
+func (e *edgeWeights) add(u, v int, w float64) {
+	if k := edgeKey(u, v); w > e.m[k] {
+		e.m[k] = w
+	}
+	if w > 0 && w < e.minPos {
+		e.minPos = w
+	}
+}
+
+// fn returns the symmetric weight function over the recorded edges.
+func (e *edgeWeights) fn() func(u, v int) float64 {
+	minPos := e.minPos
 	if math.IsInf(minPos, 1) {
 		minPos = 1
 	}
-	g := b.Build()
-	weight := func(u, v int) float64 {
-		if w := weights[key(u, v)]; w > 0 {
+	return func(u, v int) float64 {
+		if w := e.m[edgeKey(u, v)]; w > 0 {
 			return w
 		}
 		return minPos
 	}
-	return g, weight, nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,13 +127,10 @@ type orderPayload struct {
 
 // parseOrderPayload reads one ordering request. JSON bodies carry the
 // orderRequestJSON document; any other content type is a raw Matrix
-// Market body with parameters in the query string. Oversize bodies give
-// 413, malformed graphs 400.
+// Market body with parameters in the query string, parsed as it streams
+// in. Query errors give 400 before any of the body is read; oversize
+// bodies give 413, malformed graphs 400.
 func (s *Server) parseOrderPayload(w http.ResponseWriter, r *http.Request) (*orderPayload, *apiError) {
-	body, aerr := s.readBody(w, r)
-	if aerr != nil {
-		return nil, aerr
-	}
 	p := &orderPayload{seed: s.cfg.Seed, timeout: s.cfg.DefaultTimeout}
 	q := r.URL.Query()
 	algorithm := q.Get("algorithm")
@@ -156,6 +152,10 @@ func (s *Server) parseOrderPayload(w http.ResponseWriter, r *http.Request) (*ord
 	var doc orderRequestJSON
 	isJSON := strings.Contains(r.Header.Get("Content-Type"), "json")
 	if isJSON {
+		body, aerr := s.readBody(w, r)
+		if aerr != nil {
+			return nil, aerr
+		}
 		if err := json.Unmarshal(body, &doc); err != nil {
 			return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad JSON body: %v", err)}
 		}
@@ -181,29 +181,19 @@ func (s *Server) parseOrderPayload(w http.ResponseWriter, r *http.Request) (*ord
 	}
 	weighted := p.algorithm == envred.AlgWeighted
 
+	var aerr *apiError
 	switch {
 	case isJSON && doc.Graph != nil:
-		g, weight, aerr := buildGraphJSON(doc.Graph, weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
+		p.g, p.weight, aerr = buildGraphJSON(doc.Graph, weighted)
 	case isJSON && doc.MatrixMarket != "":
-		g, weight, aerr := parseMM(strings.NewReader(doc.MatrixMarket), weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
+		p.g, p.weight, aerr = parseMM(strings.NewReader(doc.MatrixMarket), weighted)
 	case isJSON:
-		return nil, &apiError{Status: http.StatusBadRequest, Message: "JSON body carries neither \"graph\" nor \"matrix_market\""}
-	case len(body) == 0:
-		return nil, &apiError{Status: http.StatusBadRequest, Message: "empty body (send a Matrix Market matrix, or a JSON document with Content-Type: application/json)"}
+		aerr = &apiError{Status: http.StatusBadRequest, Message: "JSON body carries neither \"graph\" nor \"matrix_market\""}
 	default:
-		g, weight, aerr := parseMM(bytes.NewReader(body), weighted)
-		if aerr != nil {
-			return nil, aerr
-		}
-		p.g, p.weight = g, weight
+		p.g, p.weight, aerr = s.streamMM(w, r, weighted)
+	}
+	if aerr != nil {
+		return nil, aerr
 	}
 	if weighted && p.weight == nil {
 		return nil, &apiError{Status: http.StatusBadRequest, Message: "algorithm WEIGHTED needs edge weights (a valued Matrix Market body, or graph.weights)"}
@@ -215,14 +205,52 @@ func (s *Server) parseOrderPayload(w http.ResponseWriter, r *http.Request) (*ord
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes()))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &apiError{Status: http.StatusRequestEntityTooLarge,
-				Message: fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)}
-		}
-		return nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("reading body: %v", err)}
+		return nil, bodyError(err)
 	}
 	return body, nil
+}
+
+// bodyError maps a failed body read to the wire: 413 past the size cap,
+// 400 otherwise.
+func bodyError(err error) *apiError {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &apiError{Status: http.StatusRequestEntityTooLarge,
+			Message: fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)}
+	}
+	return &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("reading body: %v", err)}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// streamMM parses a raw Matrix Market body straight from the connection
+// under the size cap, without buffering it first.
+func (s *Server) streamMM(w http.ResponseWriter, r *http.Request, weighted bool) (*graph.Graph, func(u, v int) float64, *apiError) {
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())}
+	g, weight, err := readMM(body, weighted)
+	// Drain what the parse left unread, so an oversize body is 413
+	// however its prefix parsed. The cap's error is sticky: the drain
+	// also reports one the parse ran into.
+	if _, drainErr := io.Copy(io.Discard, body); drainErr != nil {
+		return nil, nil, bodyError(drainErr)
+	}
+	switch {
+	case body.n == 0:
+		return nil, nil, &apiError{Status: http.StatusBadRequest, Message: "empty body (send a Matrix Market matrix, or a JSON document with Content-Type: application/json)"}
+	case err != nil:
+		return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad Matrix Market body: %v", err)}
+	}
+	return g, weight, nil
 }
 
 func buildGraphJSON(doc *graphJSON, weighted bool) (*graph.Graph, func(u, v int) float64, *apiError) {
@@ -265,18 +293,21 @@ func buildGraphJSON(doc *graphJSON, weighted bool) (*graph.Graph, func(u, v int)
 }
 
 func parseMM(r io.Reader, weighted bool) (*graph.Graph, func(u, v int) float64, *apiError) {
-	if weighted {
-		g, weight, err := mm.ReadWeighted(r)
-		if err != nil {
-			return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad Matrix Market body: %v", err)}
-		}
-		return g, weight, nil
-	}
-	g, err := mm.ReadGraph(r)
+	g, weight, err := readMM(r, weighted)
 	if err != nil {
 		return nil, nil, &apiError{Status: http.StatusBadRequest, Message: fmt.Sprintf("bad Matrix Market body: %v", err)}
 	}
-	return g, nil, nil
+	return g, weight, nil
+}
+
+// readMM reads a Matrix Market body, keeping entry magnitudes for
+// weighted requests.
+func readMM(r io.Reader, weighted bool) (*graph.Graph, func(u, v int) float64, error) {
+	if weighted {
+		return mm.ReadWeighted(r)
+	}
+	g, err := mm.ReadGraph(r)
+	return g, nil, err
 }
 
 // Ordering execution ----------------------------------------------------------

@@ -212,6 +212,8 @@ func TestMalformedRequests400(t *testing.T) {
 		{name: "bad seed", body: "x", url: "/v1/order?algorithm=rcm&seed=banana"},
 		{name: "bad timeout", body: "x", url: "/v1/order?algorithm=rcm&timeout=banana"},
 		{name: "weighted without weights", body: `{"algorithm":"weighted","graph":{"n":3,"edges":[[0,1],[1,2]]}}`, hdr: map[string]string{"Content-Type": "application/json"}, url: "/v1/order"},
+		// The weighted reader used to panic here and drop the connection.
+		{name: "weighted negative size", body: "%%MatrixMarket matrix coordinate real symmetric\n-3 -3 0\n", url: "/v1/order?algorithm=weighted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
