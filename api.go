@@ -90,19 +90,21 @@ var (
 // identical output); context-first callers use Session.Order / Session.Do
 // with the SPECTRAL algorithm instead.
 func Spectral(g *Graph, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgSpectral, OrderRequest{Seed: opt.Seed, Spectral: opt}, false)
-	return res.Perm, infoOf(res), err
+	return shim(g, AlgSpectral, OrderRequest{Seed: opt.Seed, Spectral: opt})
 }
 
-// infoOf unpacks the spectral diagnostics of a Result for the historical
-// (Perm, SpectralInfo, error) return shape — populated even on error, as
-// core reports the work a failed solve burned.
-func infoOf(res Result) SpectralInfo {
-	if res.Info != nil {
-		return *res.Info
+// shim runs one ordering on the DefaultSession in the historical (Perm,
+// SpectralInfo, error) shape. The spectral diagnostics are populated even
+// on error, as core reports the work a failed solve burned.
+func shim(g *Graph, algorithm string, req OrderRequest) (Perm, SpectralInfo, error) {
+	var slot BatchResult
+	//envlint:ignore ctxflow legacy ctx-free shims; context-first callers use Session.Order
+	DefaultSession().do(context.Background(), g, algorithm, req, false, &slot)
+	info := SpectralInfo{}
+	if slot.Result.Info != nil {
+		info = *slot.Result.Info
 	}
-	return SpectralInfo{}
+	return slot.Result.Perm, info, slot.Err
 }
 
 // SpectralSloan runs the spectral ordering followed by Sloan-style local
@@ -110,9 +112,7 @@ func infoOf(res Result) SpectralInfo {
 // hybrid the paper's §4 proposes as future work). Never worse in envelope
 // than Spectral.
 func SpectralSloan(g *Graph, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgSpectralSloan, OrderRequest{Seed: opt.Seed, Spectral: opt}, false)
-	return res.Perm, infoOf(res), err
+	return shim(g, AlgSpectralSloan, OrderRequest{Seed: opt.Seed, Spectral: opt})
 }
 
 // WeightedSpectral is Algorithm 1 on the weighted Laplacian D_w − W with
@@ -120,10 +120,7 @@ func SpectralSloan(g *Graph, opt SpectralOptions) (Perm, SpectralInfo, error) {
 // strongly coupled rows are placed adjacently. The weight function must be
 // symmetric and positive on edges.
 func WeightedSpectral(g *Graph, weight func(u, v int) float64, opt SpectralOptions) (Perm, SpectralInfo, error) {
-	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Order
-	res, err := DefaultSession().do(context.Background(), g, AlgWeighted,
-		OrderRequest{Seed: opt.Seed, Spectral: opt, Weight: weight}, false)
-	return res.Perm, infoOf(res), err
+	return shim(g, AlgWeighted, OrderRequest{Seed: opt.Seed, Spectral: opt, Weight: weight})
 }
 
 // Classical orderings benchmarked by the paper, plus King and Sloan.
@@ -206,7 +203,7 @@ func RandomPerm(n int, seed int64) Perm { return perm.Random(n, seed) }
 // Session.Fiedler.
 func Fiedler(g *Graph, opt SpectralOptions) (vec []float64, lambda2 float64, err error) {
 	//envlint:ignore ctxflow legacy ctx-free shim; context-first callers use Session.Fiedler
-	x, st, err := DefaultSession().fiedler(context.Background(), g, opt)
+	x, st, _, err := DefaultSession().fiedler(context.Background(), g, opt)
 	return x, st.Lambda, err
 }
 

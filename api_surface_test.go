@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"sort"
 	"strings"
@@ -13,10 +14,11 @@ import (
 
 // TestPublicAPISurface is the golden API-surface gate: it derives the
 // exported symbol list of the root package (the go doc surface — types,
-// funcs, consts, vars and exported methods) from the source and compares
-// it against the committed testdata/api_surface.golden. An accidental
-// removal or rename fails the test; intentional surface changes are
-// committed by regenerating the golden with UPDATE_API_SURFACE=1:
+// funcs, consts, vars and exported methods, funcs and methods with their
+// signatures) from the source and compares it against the committed
+// testdata/api_surface.golden. An accidental removal, rename or signature
+// change fails the test; intentional surface changes are committed by
+// regenerating the golden with UPDATE_API_SURFACE=1:
 //
 //	UPDATE_API_SURFACE=1 go test -run TestPublicAPISurface .
 //
@@ -76,9 +78,9 @@ func checkSurface(t *testing.T, dir, golden string) {
 }
 
 // publicSurface parses the package's non-test sources and lists every
-// exported top-level symbol: "func Name", "type Name", "const Name",
-// "var Name", and "method (Recv) Name" for exported methods on exported
-// receivers.
+// exported top-level symbol: "func Name(params) results", "type Name",
+// "const Name", "var Name", and "method (Recv) Name(params) results" for
+// exported methods on exported receivers.
 func publicSurface(t *testing.T, dir string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -100,15 +102,16 @@ func publicSurface(t *testing.T, dir string) []string {
 					if !d.Name.IsExported() {
 						continue
 					}
+					sig := strings.TrimPrefix(types.ExprString(d.Type), "func")
 					if d.Recv == nil {
-						out = append(out, "func "+d.Name.Name)
+						out = append(out, "func "+d.Name.Name+sig)
 						continue
 					}
 					recv := recvTypeName(d.Recv.List[0].Type)
 					if recv == "" || !ast.IsExported(recv) {
 						continue
 					}
-					out = append(out, fmt.Sprintf("method (%s) %s", recv, d.Name.Name))
+					out = append(out, fmt.Sprintf("method (%s) %s%s", recv, d.Name.Name, sig))
 				case *ast.GenDecl:
 					kind := ""
 					switch d.Tok {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/scratch"
@@ -43,24 +42,20 @@ type BatchResult struct {
 	Result Result
 	Err    error
 
-	// Value backing for the fast path's Result.Solve/Result.Info, so the
-	// steady-state loop never allocates them.
+	// Value backing for the memoized-SPECTRAL path's Result.Solve and
+	// Result.Info, so the steady-state loop never allocates them.
 	solve SolveStats
 	info  SpectralInfo
 }
 
 // orderBatch is the pooled run state of one OrderBatch call — the
-// pipeline.BatchRunner the persistent batch workers drive. Holding the
-// per-item OrderRequests in a reused slice keeps them off the heap: the
-// Orderer interface receives *OrderRequest, which would otherwise escape
-// a stack-allocated request on every item.
+// pipeline.BatchRunner the persistent batch workers drive.
 type orderBatch struct {
 	s       *Session
 	ctx     context.Context
 	name    string
 	seed    int64
 	sopt    SpectralOptions
-	fast    bool // batch-eligible for the cached-SPECTRAL fast path
 	graphs  []*Graph
 	results []BatchResult
 }
@@ -112,8 +107,6 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 	}
 	b := orderBatchPool.Get().(*orderBatch)
 	b.s, b.ctx, b.name, b.seed, b.sopt = s, ctx, name, seed, sopt
-	b.fast = name == pipeline.AlgSpectral && s.cache != nil &&
-		sopt.Operator == nil && sopt.Multilevel.FinestOp == nil
 	b.graphs, b.results = graphs, results
 	pipeline.RunBatch(opt.Workers, len(graphs), b)
 	*b = orderBatch{}
@@ -121,21 +114,11 @@ func (s *Session) OrderBatch(ctx context.Context, graphs []*Graph, opt BatchOpti
 	return results, nil
 }
 
-// RunItem orders item i (pipeline.BatchRunner). The calling worker's
-// workspace serves the whole item: orderer scratch and the envelope scan.
+// RunItem orders item i (pipeline.BatchRunner) into its slot — exactly
+// Session.Do with the batch's options. The calling worker's workspace
+// serves the whole item: orderer scratch and the envelope scan.
 func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
-	g := b.graphs[i]
-	slot := &b.results[i]
-	if b.fast && g.N() >= 3 {
-		if art := b.s.cache.WholeIfConnected(g, b.sopt); art != nil && b.runFast(slot, g, art, ws) {
-			return
-		}
-	}
-	// Generic path: exactly Session.Do with the batch's options — cold
-	// artifacts, disconnected graphs, non-SPECTRAL algorithms and failed
-	// solves all land here and stay bit-for-bit Do-identical.
-	res, err := b.s.do(b.ctx, g, b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws}, true)
-	slot.Result, slot.Err = res, err
+	b.s.do(b.ctx, b.graphs[i], b.name, OrderRequest{Seed: b.seed, Spectral: b.sopt, Workspace: ws}, true, &b.results[i])
 }
 
 // ItemPanicked implements pipeline.BatchPanicHandler: a panic while
@@ -144,36 +127,4 @@ func (b *orderBatch) RunItem(i int, ws *scratch.Workspace) {
 // persistent pool workers untouched.
 func (b *orderBatch) ItemPanicked(i int, err error) {
 	b.results[i] = BatchResult{Err: err}
-}
-
-// runFast serves one item from the session's memoized whole-graph
-// SPECTRAL artifacts without allocating: the ordering is copied into the
-// slot's recycled Perm buffer, Solve/Info are backed by slot-owned
-// values, and the envelope statistics come from the artifact's own memo
-// (SpectralStats) instead of a fresh O(n+nnz) scan per request. The
-// memoized ordering was validated when it entered the memo (fresh solves
-// by construction, store hits by the tier-2 probe's Check), so the
-// defensive re-validation Session.do applies to arbitrary registered
-// orderers is not repeated per item. Returns false — leaving the slot
-// untouched — when the memoized solve errored, deferring to the generic
-// path for the exact Do error shape.
-func (b *orderBatch) runFast(slot *BatchResult, g *Graph, art *Artifacts, ws *scratch.Workspace) bool {
-	start := time.Now()
-	o, stats, reversed, st, err := art.SpectralStats(b.ctx, ws)
-	if err != nil {
-		return false
-	}
-	p := append(slot.Result.Perm[:0], o...)
-	slot.solve = st
-	pipeline.FillConnectedInfo(&slot.info, st, reversed)
-	slot.Result = Result{
-		Perm:      p,
-		Algorithm: b.name,
-		Stats:     stats,
-		Solve:     &slot.solve,
-		Info:      &slot.info,
-		Elapsed:   time.Since(start),
-	}
-	slot.Err = nil
-	return true
 }

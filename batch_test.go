@@ -3,6 +3,7 @@ package envred_test
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -260,5 +261,27 @@ func TestOrderBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state OrderBatch allocated %v times per batch, want 0", allocs)
+	}
+}
+
+// TestWarmOrderAllocs pins the warm singleton cost of the shared
+// Session.do path: a cached SPECTRAL Order allocates only its result slot
+// and the caller's copy of the permutation. The collector is off while it
+// measures, so a GC emptying the workspace pool cannot add refills.
+func TestWarmOrderAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := grid(16, 16)
+	sess := envred.NewSession(envred.SessionOptions{Seed: 13})
+	ctx := context.Background()
+	if _, err := sess.Order(ctx, g, "SPECTRAL"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sess.Order(ctx, g, "SPECTRAL"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("warm Session.Order(SPECTRAL) allocated %v times, want at most 2", allocs)
 	}
 }

@@ -100,8 +100,9 @@ type OrderResult struct {
 	// Winners and Eigensolves summarize auto portfolio runs.
 	Winners     map[string]int `json:"winners,omitempty"`
 	Eigensolves int            `json:"eigensolves,omitempty"`
-	// Cached reports whether the server had the graph (and so its
-	// eigensolves and other artifacts) already resident.
+	// Cached is true when the server's Session reported Source memory or
+	// store: the graph's content was resident in the artifact cache, or
+	// the eigensolve was loaded from the persistent store.
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
@@ -113,7 +114,7 @@ type FiedlerResult struct {
 	Lambda2   float64            `json:"lambda2"`
 	Vector    []float64          `json:"vector"`
 	Solve     *envred.SolveStats `json:"solve,omitempty"`
-	Cached    bool               `json:"cached"`
+	Cached    bool               `json:"cached"` // as OrderResult.Cached
 	ElapsedMS float64            `json:"elapsed_ms"`
 }
 

@@ -28,8 +28,8 @@
 // restarts, replicas pointed at one directory pool their solves, and
 // /metrics grows envorderd_store_{hits,misses,errors,puts}_total plus the
 // envorderd_store_seconds latency histogram. Store entries are
-// content-addressed, so a restarted daemon answers repeat matrices with
-// cached=true and zero eigensolves.
+// content-addressed, so a restarted daemon answers repeat spectral and
+// auto orderings with cached=true and zero eigensolves.
 //
 // The store always runs behind a resilience layer: per-operation timeouts
 // (-store-timeout), capped jittered retries for transient failures

@@ -51,16 +51,19 @@
 // The service surface is a Session — long-lived, goroutine-safe, context-
 // first. It owns a per-graph artifact cache (component decomposition,
 // extracted subgraphs, Fiedler eigensolves, peripheral roots and pseudo-
-// diameter pairs; LRU-bounded by SessionOptions.CacheGraphs), so repeated
-// calls on the same graph pay for the expensive precomputations once:
+// diameter pairs; LRU-bounded by SessionOptions.CacheGraphs and keyed by
+// graph content), so repeated calls on the same matrix pay for the
+// expensive precomputations once:
 //
 //	sess := envred.NewSession(envred.SessionOptions{Seed: 1})
 //	res, err := sess.Order(ctx, g, envred.AlgSpectral)  // any registered name
 //	res, err = sess.Auto(ctx, g)                        // portfolio race
-//	x, solve, err := sess.Fiedler(ctx, g)               // cached eigensolve
+//	x, solve, src, err := sess.Fiedler(ctx, g)          // cached eigensolve
 //
 // Every method returns the uniform Result{Perm, Stats, Solve, Info,
-// Algorithm, Elapsed, Report}. Cancelling ctx (or exceeding an Auto
+// Algorithm, Elapsed, Report, Source}; Source says whether the call was
+// served from the in-memory cache, loaded from the persistent store or
+// solved. Cancelling ctx (or exceeding an Auto
 // Budget) interrupts in-flight eigensolves at restart / V-cycle
 // granularity and returns the typed *ErrCancelled carrying the best-so-far
 // fallback eigenpair.
@@ -96,8 +99,9 @@
 // and options (pinned by test). The win is amortization, not semantics:
 // a persistent pool of workers (BatchOptions.Workers, default GOMAXPROCS)
 // holds one scratch workspace each across the whole batch, cache-eligible
-// spectral items run a fast path that reuses the Session's memoized
-// eigensolves and envelope statistics, and recycling the Results slice
+// spectral items (like Session.Order, which runs the same per-item path)
+// reuse the Session's memoized eigensolves and envelope statistics, and
+// recycling the Results slice
 // across calls makes the warm steady state allocation-free (0 allocs/op,
 // gated by BenchmarkOrderBatch in CI):
 //
@@ -113,7 +117,7 @@
 //
 // # Persistent artifact store
 //
-// The Session's in-memory cache is tier 1: keyed by graph pointer, gone
+// The Session's in-memory cache is tier 1: keyed by graph content, gone
 // with the process. SessionOptions.Store binds a tier 2 that persists
 // eigensolve artifacts by content — the canonical SHA-256 fingerprint of
 // the graph's CSR arrays plus a digest of the spectral options — so a

@@ -224,17 +224,6 @@ func SpectralWS(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, opt 
 	return out, info, nil
 }
 
-// FiedlerVector computes the Fiedler vector of the connected graph g with
-// the solver selected by opt. It is exported for the examples and the
-// ablation benchmarks.
-func FiedlerVector(g *graph.Graph, opt Options) ([]float64, float64, error) {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	//envlint:ignore ctxflow ctx-free convenience wrapper; FiedlerConnectedWS is the cancellable entry point
-	x, st, err := FiedlerConnectedWS(context.Background(), ws, g, opt)
-	return x, st.Lambda, err
-}
-
 // FiedlerConnectedWS computes the Fiedler vector of the connected graph g
 // with the solver selected by opt, reporting the uniform solver statistics.
 // It is the single eigensolve entry point: Spectral, SpectralSloan and the

@@ -302,21 +302,6 @@ func TestSpectralSloanNeverWorseThanSpectral(t *testing.T) {
 	}
 }
 
-func TestFiedlerVectorExported(t *testing.T) {
-	g := graph.Grid(10, 10)
-	x, lambda, err := FiedlerVector(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) != 100 {
-		t.Fatalf("len = %d", len(x))
-	}
-	want := 4 * math.Pow(math.Sin(math.Pi/20), 2)
-	if math.Abs(lambda-want) > 1e-5*(1+want) {
-		t.Fatalf("λ2 = %v, want %v", lambda, want)
-	}
-}
-
 func BenchmarkSpectralGrid(b *testing.B) {
 	g := graph.Grid(60, 60)
 	b.ResetTimer()

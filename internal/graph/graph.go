@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/scratch"
 )
@@ -25,6 +26,8 @@ type Graph struct {
 	Xadj []int32
 	// Adj holds the concatenated, sorted adjacency lists (length 2·edges).
 	Adj []int32
+
+	fp atomic.Pointer[Fingerprint] // memoized FingerprintOf; nil until first asked
 }
 
 // N returns the number of vertices.
@@ -288,6 +291,7 @@ func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
 // (MapGet(verts[i]) = i, misses elsewhere) until the next MapReset; callers
 // relabeling further data against the same vertex set may rely on it.
 func (g *Graph) SubgraphInto(ws *scratch.Workspace, dst *Graph, verts []int) {
+	dst.fp.Store(nil) // dst's content changes below
 	nv := len(verts)
 	ws.MapReset(g.N())
 	sorted := true

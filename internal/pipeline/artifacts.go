@@ -51,7 +51,8 @@ type Artifacts struct {
 	keyOnce      sync.Once
 	key          store.Key
 	probed       bool
-	persistLevel int // 0 nothing, 1 fiedler, 2 fiedler+spectral written
+	loaded       bool // the probe filled the memo; guarded by mu
+	persistLevel int  // 0 nothing, 1 fiedler, 2 fiedler+spectral written
 
 	opOnce sync.Once
 	op     laplacian.Interface
@@ -123,6 +124,7 @@ func (a *Artifacts) tier2Probe() {
 	a.mu.Lock()
 	a.fiedlerVec, a.fiedlerStats, a.fiedlerErr = rec.Fiedler, rec.Stats, nil
 	a.fiedlerDone = true
+	a.loaded = true
 	a.persistLevel = 1
 	if rec.HasSpectral {
 		a.spectralOrd, a.spectralEsize, a.spectralRev = rec.Perm, rec.Esize, rec.Reversed
@@ -130,6 +132,14 @@ func (a *Artifacts) tier2Probe() {
 		a.persistLevel = 2
 	}
 	a.mu.Unlock()
+}
+
+// fromStore reports whether the tier-2 probe filled the memo, i.e. the
+// eigensolve was loaded rather than solved in this process.
+func (a *Artifacts) fromStore() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.loaded
 }
 
 // tier2Save writes the memoized outcome back to the persistent store when
@@ -322,11 +332,27 @@ func (a *Artifacts) Spectral(ctx context.Context, ws *scratch.Workspace) (o perm
 // function of (component graph, memoized ordering), so like every other
 // artifact they are computed at most once and identical to what
 // envelope.Compute reports on the same ordering. This is what lets the
-// batch fast path serve a warm graph without repeating the O(n+nnz)
-// envelope scan per request. Concurrent first calls may both run the scan
+// Session's SPECTRAL path serve a warm graph without repeating the
+// O(n+nnz) envelope scan per request. Concurrent first calls may both run the scan
 // (outside the memo semaphore, each in its own workspace) and store the
 // same value — harmless by purity.
+//
+// ws may be nil: a workspace is then checked out of the shared pool only
+// when something is left to compute, so a fully memoized call touches no
+// arena and keeps no cold solve's buffers in use.
 func (a *Artifacts) SpectralStats(ctx context.Context, ws *scratch.Workspace) (o perm.Perm, stats envelope.Stats, reversed bool, st solver.Stats, err error) {
+	if ws == nil {
+		a.mu.Lock()
+		if a.spectralDone && a.envDone {
+			a.uses++
+			o, stats, reversed, st = a.spectralOrd, a.envStats, a.spectralRev, a.fiedlerStats
+			a.mu.Unlock()
+			return
+		}
+		a.mu.Unlock()
+		ws = scratch.Get()
+		defer scratch.Put(ws)
+	}
 	o, _, reversed, st, err = a.Spectral(ctx, ws)
 	if err != nil {
 		return

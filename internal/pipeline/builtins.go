@@ -57,11 +57,17 @@ func plain(o perm.Perm, err error) (Result, error) {
 
 // FillConnectedInfo writes into info the exact core.Info a whole-graph
 // spectral run reports on a connected graph, reconstructed from the
-// memoized artifact state — the fill-style core of connectedInfo, exported
-// so the batch executor can back Result.Info with storage it reuses
-// across items instead of allocating per call. Every field of info is
-// overwritten.
-func FillConnectedInfo(info *core.Info, st solver.Stats, reversed bool) {
+// memoized artifact state: on success the solve's estimates and the sort
+// direction; when the eigensolve failed (err != nil) only its burned
+// counters, no estimates (see core's spectralConnected error path). It is
+// exported so the Session can back Result.Info with slot storage it
+// reuses across calls. Every field of info is overwritten.
+func FillConnectedInfo(info *core.Info, st solver.Stats, reversed bool, err error) {
+	if err != nil {
+		*info = core.Info{Components: 1, MatVecs: st.MatVecs}
+		info.Solve.Accumulate(st)
+		return
+	}
 	*info = core.Info{
 		Lambda2:    st.Lambda,
 		Residual:   st.Residual,
@@ -74,20 +80,11 @@ func FillConnectedInfo(info *core.Info, st solver.Stats, reversed bool) {
 }
 
 // connectedInfo is FillConnectedInfo into a fresh allocation, so the
-// artifact-backed path (Session.Do on a connected graph) stays field-
-// identical to core.SpectralWS — the shim-equivalence contract.
-func connectedInfo(st solver.Stats, reversed bool) *core.Info {
+// artifact-backed component path stays field-identical to core.SpectralWS
+// — the shim-equivalence contract.
+func connectedInfo(st solver.Stats, reversed bool, err error) *core.Info {
 	info := new(core.Info)
-	FillConnectedInfo(info, st, reversed)
-	return info
-}
-
-// failedInfo mirrors the core.Info a whole-graph spectral run reports when
-// the connected-graph eigensolve errors: the failed solve's burned
-// counters, no estimates (see core's spectralConnected error path).
-func failedInfo(st solver.Stats) *core.Info {
-	info := &core.Info{Components: 1, MatVecs: st.MatVecs}
-	info.Solve.Accumulate(st)
+	FillConnectedInfo(info, st, reversed, err)
 	return info
 }
 
@@ -154,10 +151,7 @@ func init() {
 		},
 		component: func(ctx context.Context, ws *scratch.Workspace, _ *graph.Graph, req *OrderRequest) (Result, error) {
 			o, _, reversed, st, err := req.Artifacts.Spectral(ctx, ws)
-			if err != nil {
-				return Result{Solve: &st, Info: failedInfo(st)}, err
-			}
-			return Result{Perm: o, Solve: &st, Info: connectedInfo(st, reversed)}, nil
+			return Result{Perm: o, Solve: &st, Info: connectedInfo(st, reversed, err)}, err
 		},
 	})
 	MustRegister(AlgSpectralSloan, &builtin{
@@ -168,9 +162,9 @@ func init() {
 		component: func(ctx context.Context, ws *scratch.Workspace, g *graph.Graph, req *OrderRequest) (Result, error) {
 			spectral, esize, reversed, st, err := req.Artifacts.Spectral(ctx, ws)
 			if err != nil {
-				return Result{Solve: &st, Info: failedInfo(st)}, err
+				return Result{Solve: &st, Info: connectedInfo(st, reversed, err)}, err
 			}
-			return Result{Perm: core.RefineSpectralWS(ws, g, spectral, esize), Solve: &st, Info: connectedInfo(st, reversed)}, nil
+			return Result{Perm: core.RefineSpectralWS(ws, g, spectral, esize), Solve: &st, Info: connectedInfo(st, reversed, nil)}, nil
 		},
 	})
 	MustRegister(AlgWeighted, &builtin{

@@ -30,9 +30,13 @@ const maxArtifactOptionSets = 4
 // the same graph — the serving pattern of a long-lived ordering service —
 // pay for decomposition, extraction and eigensolves once.
 //
-// Graphs are keyed by pointer identity, which is sound because Graph is
-// immutable. Entries are evicted least-recently-used beyond the configured
-// capacity, bounding the memory a long-lived Session can pin. The Cache —
+// Graphs are keyed by content (graph.FingerprintOf, memoized on each
+// Graph), so distinct Graph values with equal content share one entry. An
+// entry keeps the first Graph it saw and builds every artifact on it;
+// artifacts are pure functions of content, so any equal graph gets the
+// same results. Entries are evicted least-recently-used beyond the
+// configured capacity, bounding the memory a long-lived Session can pin.
+// The Cache —
 // and with it every artifact it memoizes — lives exactly as long as its
 // Session: eviction or process exit discards the work. Binding a tier-2
 // store (SetStore) is what extends artifact lifetime past the process:
@@ -47,7 +51,7 @@ const maxArtifactOptionSets = 4
 type Cache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[*graph.Graph]*list.Element
+	entries map[graph.Fingerprint]*list.Element
 	lru     *list.List  // of *cacheEntry; front = most recently used
 	store   store.Store // tier 2; nil = in-memory only
 }
@@ -60,7 +64,7 @@ func NewCache(maxGraphs int) *Cache {
 	}
 	return &Cache{
 		max:     maxGraphs,
-		entries: map[*graph.Graph]*list.Element{},
+		entries: map[graph.Fingerprint]*list.Element{},
 		lru:     list.New(),
 	}
 }
@@ -82,7 +86,8 @@ func (c *Cache) tier2() store.Store {
 	return c.store
 }
 
-// cacheEntry is one graph's memo. Its mutex serializes the (one-time)
+// cacheEntry is one content's memo, built on g, the first Graph of that
+// content the cache saw. Its mutex serializes the (one-time)
 // decomposition and the per-options artifact map; the artifacts themselves
 // do their own finer-grained memoization.
 type cacheEntry struct {
@@ -95,23 +100,25 @@ type cacheEntry struct {
 	whole     map[core.Options]*Artifacts // whole-graph artifacts (connected inputs)
 }
 
-// entry returns g's cache entry, creating it (and evicting the
-// least-recently-used entry past capacity) as needed.
-func (c *Cache) entry(g *graph.Graph) *cacheEntry {
+// entry returns the cache entry for g's content and whether it was
+// resident, creating it (and evicting the least-recently-used entry past
+// capacity) as needed.
+func (c *Cache) entry(g *graph.Graph) (e *cacheEntry, resident bool) {
+	key := graph.FingerprintOf(g) // outside the lock: a cold graph hashes in O(n+nnz)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[g]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry)
+		return el.Value.(*cacheEntry), true
 	}
-	e := &cacheEntry{g: g}
-	c.entries[g] = c.lru.PushFront(e)
+	e = &cacheEntry{g: g}
+	c.entries[key] = c.lru.PushFront(e)
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()
-		delete(c.entries, back.Value.(*cacheEntry).g)
+		delete(c.entries, graph.FingerprintOf(back.Value.(*cacheEntry).g))
 		c.lru.Remove(back)
 	}
-	return e
+	return e, false
 }
 
 // Len reports the number of graphs currently cached.
@@ -127,7 +134,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[*graph.Graph]*list.Element{}
+	c.entries = map[graph.Fingerprint]*list.Element{}
 	c.lru.Init()
 }
 
@@ -181,29 +188,30 @@ func extractAll(g *graph.Graph, workers int, sopt core.Options, st store.Store) 
 }
 
 // resolve returns g's decomposition and artifacts for sopt, through the
-// cache when one is configured. A connected graph's single component uses
-// the same Artifacts the whole-graph entry points (Session.Order,
-// Session.Fiedler) memoize, so e.g. a SPECTRAL row and a later Auto run
-// on the same connected graph share one eigensolve.
-func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resolved {
+// cache when one is configured, and whether g's content was resident. A
+// connected graph's single component uses the same Artifacts the
+// whole-graph entry points (Session.Order, Session.Fiedler) memoize, so
+// e.g. a SPECTRAL row and a later Auto run on the same connected graph
+// share one eigensolve.
+func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) (resolved, bool) {
 	if cache == nil {
-		return extractAll(g, workers, sopt, nil)
+		return extractAll(g, workers, sopt, nil), false
 	}
 	st := cache.tier2()
-	e := cache.entry(g)
+	e, resident := cache.entry(g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := artKey(sopt)
 	if e.comps == nil {
-		r := extractAll(g, workers, sopt, st)
+		r := extractAll(e.g, workers, sopt, st)
 		e.comps, e.subs = r.comps, r.subs
 		for i, sub := range e.subs {
-			if sub == g {
-				r.arts[i] = e.wholeLocked(g, sopt, st) // may pre-date this run
+			if sub == e.g {
+				r.arts[i] = e.wholeLocked(sopt, st) // may pre-date this run
 			}
 		}
 		e.arts = map[core.Options][]*Artifacts{key: r.arts}
-		return resolved{comps: e.comps, subs: e.subs, arts: r.arts}
+		return resolved{comps: e.comps, subs: e.subs, arts: r.arts}, resident
 	}
 	arts, ok := e.arts[key]
 	if !ok {
@@ -213,34 +221,35 @@ func resolve(g *graph.Graph, workers int, sopt core.Options, cache *Cache) resol
 		arts = make([]*Artifacts, len(e.comps))
 		for i, sub := range e.subs {
 			switch {
-			case sub == g:
-				arts[i] = e.wholeLocked(g, sopt, st)
+			case sub == e.g:
+				arts[i] = e.wholeLocked(sopt, st)
 			case sub != nil:
 				arts[i] = newArtifacts(sub, sopt, st)
 			}
 		}
 		e.arts[key] = arts
 	}
-	return resolved{comps: e.comps, subs: e.subs, arts: arts}
+	return resolved{comps: e.comps, subs: e.subs, arts: arts}, resident
 }
 
 // WholeIfConnected returns memoized whole-graph Artifacts when g is
 // connected, nil otherwise (connectivity itself is memoized on the
-// entry). This is the substrate of Session.Order and Session.Fiedler on
-// connected inputs: the graph's own labeling (no component relabeling)
-// with eigensolve, root and diameter reuse across calls.
-func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) *Artifacts {
-	e := c.entry(g)
+// entry), and whether g's content was resident. This is the substrate of
+// Session.Order and Session.Fiedler on connected inputs: the graph's own
+// labeling (no component relabeling) with eigensolve, root and diameter
+// reuse across calls.
+func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) (*Artifacts, bool) {
+	e, resident := c.entry(g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.connected == nil {
-		conn := graph.IsConnected(g)
+		conn := graph.IsConnected(e.g)
 		e.connected = &conn
 	}
 	if !*e.connected {
-		return nil
+		return nil, resident
 	}
-	return e.wholeLocked(g, sopt, c.tier2())
+	return e.wholeLocked(sopt, c.tier2()), resident
 }
 
 // wholeLocked returns the entry's memoized whole-graph Artifacts for sopt,
@@ -248,7 +257,7 @@ func (c *Cache) WholeIfConnected(g *graph.Graph, sopt core.Options) *Artifacts {
 // fresh artifacts. The caller holds e.mu. Both the whole-graph entry
 // points and resolve's spanning-component path land here, which is what
 // makes their eigensolves shared.
-func (e *cacheEntry) wholeLocked(g *graph.Graph, sopt core.Options, st store.Store) *Artifacts {
+func (e *cacheEntry) wholeLocked(sopt core.Options, st store.Store) *Artifacts {
 	key := artKey(sopt)
 	if a, ok := e.whole[key]; ok {
 		return a
@@ -256,7 +265,7 @@ func (e *cacheEntry) wholeLocked(g *graph.Graph, sopt core.Options, st store.Sto
 	if e.whole == nil || len(e.whole) >= maxArtifactOptionSets {
 		e.whole = map[core.Options]*Artifacts{}
 	}
-	a := newArtifacts(g, sopt, st)
+	a := newArtifacts(e.g, sopt, st)
 	e.whole[key] = a
 	return a
 }

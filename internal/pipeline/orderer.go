@@ -134,6 +134,53 @@ type Result struct {
 	// Report is the full portfolio report when the run came from the Auto
 	// engine; nil otherwise.
 	Report *Report
+	// Source says where the run's cached artifacts came from (set by the
+	// Session; registered Orderers leave it zero).
+	Source Source
+}
+
+// Source says where the expensive artifacts behind a Session result came
+// from. Requests with an edge-weight function or a caller-supplied
+// operator always report SourceSolved.
+type Source uint8
+
+const (
+	// SourceSolved: anything other than the two cases below — the call
+	// computed what it needed, or ran uncached.
+	SourceSolved Source = iota
+	// SourceMemory: the graph content's cache entry was resident when the
+	// call looked it up.
+	SourceMemory
+	// SourceStore: the call's eigensolve was loaded from the persistent
+	// store.
+	SourceStore
+)
+
+var sourceNames = [...]string{SourceSolved: "solved", SourceMemory: "memory", SourceStore: "store"}
+
+// String returns "solved", "memory" or "store".
+func (s Source) String() string {
+	if int(s) < len(sourceNames) {
+		return sourceNames[s]
+	}
+	return fmt.Sprintf("Source(%d)", s)
+}
+
+// MarshalText renders the String form, so JSON reports name the source.
+func (s Source) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// SourceOf classifies a call that looked its graph's content up in the
+// cache (resident) and then used arts (nil entries allowed).
+func SourceOf(resident bool, arts ...*Artifacts) Source {
+	if resident {
+		return SourceMemory
+	}
+	for _, a := range arts {
+		if a != nil && a.fromStore() {
+			return SourceStore
+		}
+	}
+	return SourceSolved
 }
 
 // Registry ------------------------------------------------------------------

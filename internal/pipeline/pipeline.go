@@ -142,6 +142,10 @@ type Report struct {
 	// counters summed, estimates (λ2, residual, hierarchy shape) from the
 	// largest component that ran a solve.
 	Solve solver.Stats
+	// Source says where the run's artifacts came from: SourceMemory when
+	// Options.Cache held the graph's content, SourceStore when a
+	// component's eigensolve was loaded from the persistent store.
+	Source Source
 }
 
 func spectralOpt(opt Options) core.Options {
@@ -246,7 +250,7 @@ func Auto(g *graph.Graph, opt Options) (perm.Perm, Report, error) {
 	if sopt.Operator != nil || sopt.Multilevel.FinestOp != nil {
 		cache = nil
 	}
-	res := resolve(g, workers, sopt, cache)
+	res, resident := resolve(g, workers, sopt, cache)
 	work := make([]*componentWork, len(res.comps))
 	for i := range res.comps {
 		work[i] = &componentWork{verts: res.comps[i], old: res.comps[i]}
@@ -344,6 +348,9 @@ func Auto(g *graph.Graph, opt Options) (perm.Perm, Report, error) {
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, rep, err
+	}
+	if opt.Weight == nil {
+		rep.Source = SourceOf(resident, res.arts...)
 	}
 
 	// Stage 3: pick winners and stitch, in deterministic component order.

@@ -13,8 +13,8 @@ import (
 // sopt: the graph's canonical content fingerprint paired with a digest of
 // the spectral options, normalized exactly like the in-memory artifact
 // maps (artKey — operator plumbing cleared), so tier 1 and tier 2 agree on
-// what "the same solve" means. The service uses it to probe the store for
-// a request's cache status without running the pipeline.
+// what "the same solve" means. The fingerprint half is g's memoized
+// FingerprintOf, so keying a graph the cache has seen costs no hash.
 func StoreKeyFor(g *graph.Graph, sopt core.Options) store.Key {
 	return store.Key{Graph: graph.FingerprintOf(g), Opts: OptionDigest(sopt)}
 }

@@ -15,9 +15,9 @@ import (
 // batch rides Session.OrderBatch, so the per-request overhead a singleton
 // /v1/order pays — result allocation, permutation re-validation, envelope
 // re-scoring of cached orderings — is paid once per batch instead of once
-// per graph. Items share the tenant's graph interner, Session artifact
-// cache and persistent store exactly as singleton requests do; a batch
-// holds one solve-pool slot for its whole duration.
+// per graph. Items share the tenant's Session artifact cache and
+// persistent store exactly as singleton requests do; a batch holds one
+// solve-pool slot for its whole duration.
 
 // batchRequestJSON is the JSON request document of POST /v1/order/batch.
 // Algorithm/seed/timeout may also arrive as query parameters (the body
@@ -110,8 +110,8 @@ func (s *Server) handleOrderBatch(w http.ResponseWriter, r *http.Request, tnt *t
 	ctx, cancel := orderCtx(r.Context(), &orderPayload{timeout: timeout})
 	defer cancel()
 
-	// Parse and intern every item up front. A malformed item fails alone;
-	// valid items proceed (graphs is compacted, idx maps back to items).
+	// Parse every item up front. A malformed item fails alone; valid items
+	// proceed (graphs is compacted, idx maps back to items).
 	resp := &batchResponseJSON{
 		Algorithm: algorithm,
 		Count:     len(doc.Items),
@@ -119,23 +119,14 @@ func (s *Server) handleOrderBatch(w http.ResponseWriter, r *http.Request, tnt *t
 	}
 	graphs := make([]*envred.Graph, 0, len(doc.Items))
 	idx := make([]int, 0, len(doc.Items))
-	cachedFlags := make([]bool, 0, len(doc.Items))
 	for i := range doc.Items {
 		g, ierr := s.parseBatchItem(&doc.Items[i])
 		if ierr != nil {
 			resp.Errors = append(resp.Errors, &batchItemError{Index: i, Message: ierr.Message})
 			continue
 		}
-		g, cached := tnt.graphs.intern(g)
-		if cached {
-			s.m.cacheHits.inc()
-		} else {
-			s.m.cacheMisses.inc()
-			cached = s.storeHas(g, seed)
-		}
 		graphs = append(graphs, g)
 		idx = append(idx, i)
-		cachedFlags = append(cachedFlags, cached)
 	}
 
 	s.m.inFlight.add(1)
@@ -173,7 +164,8 @@ func (s *Server) handleOrderBatch(w http.ResponseWriter, r *http.Request, tnt *t
 	s.m.batches.inc()
 
 	for k := range results {
-		i, g, cached := idx[k], graphs[k], cachedFlags[k]
+		i, g := idx[k], graphs[k]
+		cached := s.countSource(results[k].Result.Source)
 		if err := results[k].Err; err != nil {
 			aerr := orderError(err, results[k].Result, g)
 			s.m.orders.inc(algorithm, statusLabel(aerr))

@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mm"
 	"repro/internal/perm"
-	"repro/internal/pipeline"
 	"repro/internal/scratch"
 	"repro/internal/solver"
 )
@@ -59,11 +58,10 @@ type orderResponse struct {
 	// Winners and Eigensolves summarize AUTO portfolio runs.
 	Winners     map[string]int `json:"winners,omitempty"`
 	Eigensolves int            `json:"eigensolves,omitempty"`
-	// Cached is true when the expensive artifacts behind this ordering were
-	// already available without solving: the graph was resident in the
-	// tenant's graph cache (so the Session's in-memory artifacts apply), or
-	// the persistent store held the whole-graph eigensolve for this content
-	// and seed — the warm-restart case.
+	// Cached is true when the Session reported Source memory or store: the
+	// graph's content was resident in the tenant's artifact cache, or this
+	// call loaded its eigensolve from the persistent store (the
+	// warm-restart case).
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
@@ -120,8 +118,8 @@ type orderPayload struct {
 	seed      int64
 	timeout   time.Duration
 	g         *graph.Graph
-	// weight is non-nil for WEIGHTED requests; weighted graphs are not
-	// interned (the pattern may repeat with different values).
+	// weight is non-nil for WEIGHTED requests; they always report
+	// cached=false (the pattern may repeat with different values).
 	weight func(u, v int) float64
 }
 
@@ -313,8 +311,8 @@ func readMM(r io.Reader, weighted bool) (*graph.Graph, func(u, v int) float64, e
 // Ordering execution ----------------------------------------------------------
 
 // runOrder executes one ordering end to end: tenant concurrency budget,
-// global solve pool, graph interning, dispatch, metrics. ctx must already
-// carry the request's timeout; queueing counts against it.
+// global solve pool, dispatch, metrics. ctx must already carry the
+// request's timeout; queueing counts against it.
 func (s *Server) runOrder(ctx context.Context, tnt *tenant, p *orderPayload) (*orderResponse, *apiError) {
 	s.m.inFlight.add(1)
 	defer s.m.inFlight.add(-1)
@@ -330,19 +328,6 @@ func (s *Server) runOrder(ctx context.Context, tnt *tenant, p *orderPayload) (*o
 	}
 	defer release(s.solveSem)
 
-	cached := false
-	if p.weight == nil {
-		p.g, cached = tnt.graphs.intern(p.g)
-	}
-	if cached {
-		s.m.cacheHits.inc()
-	} else {
-		s.m.cacheMisses.inc()
-	}
-	if !cached && p.weight == nil {
-		cached = s.storeHas(p.g, p.seed)
-	}
-
 	start := time.Now()
 	var (
 		res envred.Result
@@ -355,6 +340,7 @@ func (s *Server) runOrder(ctx context.Context, tnt *tenant, p *orderPayload) (*o
 	}
 	elapsed := time.Since(start)
 	s.m.orderSeconds.observe(elapsed.Seconds())
+	cached := s.countSource(res.Source)
 
 	if err != nil {
 		aerr := orderError(err, res, p.g)
@@ -392,21 +378,15 @@ func (s *Server) runOrder(ctx context.Context, tnt *tenant, p *orderPayload) (*o
 	return resp, nil
 }
 
-// storeHas reports whether the persistent store already holds the
-// whole-graph artifact a request on g with this seed will consult — the
-// advisory probe behind the response's cached flag across restarts. It
-// reads through the uncounted handle so probes never skew the store
-// hit/miss metrics, and it is best-effort: a miss here just means the
-// ordering pays its normal (possibly store-warmed) cost.
-func (s *Server) storeHas(g *graph.Graph, seed int64) bool {
-	if s.rawStore == nil {
-		return false
+// countSource records a Session result's Source in the cache metrics
+// (only memory counts as a hit) and reports the response's cached flag.
+func (s *Server) countSource(src envred.Source) (cached bool) {
+	if src == envred.SourceMemory {
+		s.m.cacheHits.inc()
+	} else {
+		s.m.cacheMisses.inc()
 	}
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	_, err := s.rawStore.Get(pipeline.StoreKeyFor(g, core.Options{Seed: seed}))
-	return err == nil
+	return src != envred.SourceSolved
 }
 
 // acquire takes one slot of sem (nil = unlimited), honoring ctx.
@@ -557,7 +537,7 @@ type fiedlerResponse struct {
 	Lambda2   float64       `json:"lambda2"`
 	Vector    []float64     `json:"vector"`
 	Solve     *solver.Stats `json:"solve,omitempty"`
-	Cached    bool          `json:"cached"`
+	Cached    bool          `json:"cached"` // as orderResponse.Cached
 	ElapsedMS float64       `json:"elapsed_ms"`
 }
 
@@ -583,20 +563,10 @@ func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tena
 	}
 	defer release(s.solveSem)
 
-	g, cached := tnt.graphs.intern(p.g)
-	if cached {
-		s.m.cacheHits.inc()
-	} else {
-		s.m.cacheMisses.inc()
-	}
-	if !cached {
-		// Session.Fiedler always runs with the session-default options, so
-		// probe with the session seed (0 defaults to it inside storeHas).
-		cached = s.storeHas(g, 0)
-	}
 	start := time.Now()
-	vec, st, err := tnt.sess.Fiedler(ctx, g)
+	vec, st, src, err := tnt.sess.Fiedler(ctx, p.g)
 	elapsed := time.Since(start)
+	cached := s.countSource(src)
 	if err != nil {
 		var ec *envred.ErrCancelled
 		if errors.As(err, &ec) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -612,7 +582,7 @@ func (s *Server) handleFiedler(w http.ResponseWriter, r *http.Request, tnt *tena
 		s.m.eigenSeconds.observe(elapsed.Seconds())
 	}
 	writeJSON(w, http.StatusOK, fiedlerResponse{
-		N:         g.N(),
+		N:         p.g.N(),
 		Lambda2:   st.Lambda,
 		Vector:    vec,
 		Solve:     &st,

@@ -19,9 +19,10 @@ import (
 type metrics struct {
 	// orders by {algorithm,status}: status ∈ ok|timeout|invalid|error.
 	orders *counterVec
-	// graph-cache (interner) traffic: a hit means the request's graph was
-	// already resident, so the tenant Session's artifact cache (eigensolve,
-	// roots, subgraphs) applies to it.
+	// artifact-cache traffic, one count per order/fiedler request or
+	// batch item: a hit means the Session reported Source memory (the
+	// graph's content was resident in the tenant's cache); everything
+	// else, store loads included, is a miss.
 	cacheHits   counter
 	cacheMisses counter
 	// jobs by terminal {status}: done|failed.
@@ -31,8 +32,8 @@ type metrics struct {
 	// "orderings" whether they arrived alone or batched).
 	batches counter
 	// latency distributions, in seconds. eigensolve observes only orders
-	// that actually ran a fresh eigensolve (spectral-family algorithm on a
-	// non-interned graph), so it tracks solver latency, not cache serving.
+	// that actually ran a fresh eigensolve (spectral-family algorithm,
+	// Source solved), so it tracks solver latency, not cache serving.
 	orderSeconds *histogram
 	eigenSeconds *histogram
 	// store is the daemon's counted persistent-store handle (nil without
@@ -67,9 +68,9 @@ func newMetrics() *metrics {
 func (m *metrics) writeTo(w io.Writer) {
 	writeHeader(w, "envorderd_orders_total", "counter", "Orderings served, by algorithm and terminal status.")
 	m.orders.writeTo(w, "envorderd_orders_total")
-	writeHeader(w, "envorderd_cache_hits_total", "counter", "Order/fiedler requests whose graph was already resident in the tenant graph cache.")
+	writeHeader(w, "envorderd_cache_hits_total", "counter", "Order/fiedler requests and batch items whose graph content was resident in the tenant artifact cache.")
 	fmt.Fprintf(w, "envorderd_cache_hits_total %d\n", m.cacheHits.value())
-	writeHeader(w, "envorderd_cache_misses_total", "counter", "Order/fiedler requests that interned a new graph.")
+	writeHeader(w, "envorderd_cache_misses_total", "counter", "Order/fiedler requests and batch items whose graph content was not resident in the tenant artifact cache.")
 	fmt.Fprintf(w, "envorderd_cache_misses_total %d\n", m.cacheMisses.value())
 	writeHeader(w, "envorderd_batches_total", "counter", "Batch ordering documents served (per-item outcomes count in envorderd_orders_total).")
 	fmt.Fprintf(w, "envorderd_batches_total %d\n", m.batches.value())

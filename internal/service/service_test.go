@@ -415,20 +415,46 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 func TestFiedlerEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{Seed: 1})
 	g := envred.Grid(12, 9)
-	resp, body := postMM(t, ts.URL+"/v1/fiedler", mmBody(t, g), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	for i := 0; i < 2; i++ {
+		resp, body := postMM(t, ts.URL+"/v1/fiedler", mmBody(t, g), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var doc struct {
+			N       int       `json:"n"`
+			Lambda2 float64   `json:"lambda2"`
+			Vector  []float64 `json:"vector"`
+			Cached  bool      `json:"cached"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.N != g.N() || len(doc.Vector) != g.N() || doc.Lambda2 <= 0 {
+			t.Fatalf("round %d: fiedler reply n=%d len=%d lambda2=%g", i, doc.N, len(doc.Vector), doc.Lambda2)
+		}
+		if doc.Cached != (i == 1) {
+			t.Fatalf("round %d: cached=%v, want true only on the repeat", i, doc.Cached)
+		}
 	}
-	var doc struct {
-		N       int       `json:"n"`
-		Lambda2 float64   `json:"lambda2"`
-		Vector  []float64 `json:"vector"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.N != g.N() || len(doc.Vector) != g.N() || doc.Lambda2 <= 0 {
-		t.Fatalf("fiedler reply n=%d len=%d lambda2=%g", doc.N, len(doc.Vector), doc.Lambda2)
+}
+
+// A WEIGHTED request's answer depends on the matrix values, not only the
+// pattern the artifact cache is keyed by, so a repeat never says cached.
+func TestWeightedNeverCached(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Seed: 1})
+	body := []byte("%%MatrixMarket matrix coordinate real symmetric\n5 5 5\n2 1 1.5\n3 2 0.5\n4 3 2\n5 4 1\n5 1 3\n")
+	for i := 0; i < 2; i++ {
+		resp, raw := postMM(t, ts.URL+"/v1/order?algorithm=weighted", body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		var rep orderReply
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cached {
+			t.Fatalf("round %d: WEIGHTED request reported cached=true", i)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/solver"
 )
 
@@ -15,7 +14,7 @@ import (
 //
 //	[0:4)  magic "EVST"
 //	[4]    format version (formatVersion)
-//	[5]    kind byte (kindArtifact | kindGraph)
+//	[5]    kind byte (kindArtifact; any other value is rejected)
 //	[6:]   kind-specific payload, no trailing bytes allowed
 //
 // Artifact payload:
@@ -30,18 +29,9 @@ import (
 //	fiedler    u64 count + count f64          (iff bit0; count == n)
 //	perm       u64 count + count i32,          (iff bit1; count == n)
 //	           esize u64 (two's complement), reversed u8
-//
-// Graph payload:
-//
-//	n          u64
-//	xadj       u64 count + count i32           (count == n+1)
-//	adj        u64 count + count i32
 const formatVersion = 1
 
-const (
-	kindArtifact = 1
-	kindGraph    = 2
-)
+const kindArtifact = 1
 
 var magic = [4]byte{'E', 'V', 'S', 'T'}
 
@@ -199,13 +189,13 @@ func (d *decoder) finish() error {
 	return nil
 }
 
-func encodeHeader(e *encoder, kind byte) {
+func encodeHeader(e *encoder) {
 	e.b = append(e.b, magic[:]...)
 	e.u8(formatVersion)
-	e.u8(kind)
+	e.u8(kindArtifact)
 }
 
-func decodeHeader(d *decoder, wantKind byte) {
+func decodeHeader(d *decoder) {
 	got := d.take(4)
 	if d.err != nil {
 		return
@@ -218,8 +208,8 @@ func decodeHeader(d *decoder, wantKind byte) {
 		d.fail("unsupported format version %d (want %d)", v, formatVersion)
 		return
 	}
-	if k := d.u8(); d.err == nil && k != wantKind {
-		d.fail("wrong entry kind %d (want %d)", k, wantKind)
+	if k := d.u8(); d.err == nil && k != kindArtifact {
+		d.fail("unknown entry kind %d", k)
 	}
 }
 
@@ -227,7 +217,7 @@ func decodeHeader(d *decoder, wantKind byte) {
 // can verify an entry still matches the name it is stored under.
 func EncodeArtifact(key Key, a *Artifact) []byte {
 	e := &encoder{b: make([]byte, 0, artifactSizeHint(a))}
-	encodeHeader(e, kindArtifact)
+	encodeHeader(e)
 	e.b = append(e.b, key.Graph[:]...)
 	e.b = append(e.b, key.Opts[:]...)
 	e.u64(uint64(a.N))
@@ -272,7 +262,7 @@ func artifactSizeHint(a *Artifact) int {
 //envlint:readonly data
 func DecodeArtifact(data []byte) (Key, *Artifact, error) {
 	d := &decoder{b: data}
-	decodeHeader(d, kindArtifact)
+	decodeHeader(d)
 	var key Key
 	copy(key.Graph[:], d.take(len(key.Graph)))
 	copy(key.Opts[:], d.take(len(key.Opts)))
@@ -318,40 +308,4 @@ func DecodeArtifact(data []byte) (Key, *Artifact, error) {
 		return Key{}, nil, err
 	}
 	return key, a, nil
-}
-
-// EncodeGraph serializes a graph's CSR arrays — the stable wire form of a
-// versioned graph identity, available to backends or tooling that persist
-// graphs alongside their artifacts.
-func EncodeGraph(g *graph.Graph) []byte {
-	e := &encoder{b: make([]byte, 0, 6+24+4*(len(g.Xadj)+len(g.Adj)))}
-	encodeHeader(e, kindGraph)
-	e.u64(uint64(g.N()))
-	e.i32s(g.Xadj)
-	e.i32s(g.Adj)
-	return e.b
-}
-
-// DecodeGraph parses an encoded graph and validates the full CSR
-// invariants (monotone Xadj, sorted symmetric duplicate-free adjacency),
-// so a corrupted entry can never yield a structurally invalid Graph.
-//
-//envlint:readonly data
-func DecodeGraph(data []byte) (*graph.Graph, error) {
-	d := &decoder{b: data}
-	decodeHeader(d, kindGraph)
-	n := d.u64()
-	xadj := d.i32s()
-	adj := d.i32s()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	if uint64(len(xadj)) != n+1 {
-		return nil, corrupt("xadj has %d entries for n=%d", len(xadj), n)
-	}
-	g, err := graph.FromCSR(xadj, adj)
-	if err != nil {
-		return nil, corrupt("invalid CSR: %v", err)
-	}
-	return g, nil
 }

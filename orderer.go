@@ -34,6 +34,24 @@ type OrderRequest = pipeline.OrderRequest
 // wall-clock time, and (for Auto) the full portfolio report.
 type Result = pipeline.Result
 
+// Source says where the expensive artifacts behind a Session result came
+// from (Result.Source, Session.Fiedler): the session's in-memory cache,
+// the persistent store, or neither. Requests with an edge-weight function
+// or a caller-supplied operator always report SourceSolved.
+type Source = pipeline.Source
+
+// Sources a Result can report.
+const (
+	// SourceSolved: the call computed what it needed, or ran uncached.
+	SourceSolved = pipeline.SourceSolved
+	// SourceMemory: the graph content's cache entry was resident when the
+	// call looked it up.
+	SourceMemory = pipeline.SourceMemory
+	// SourceStore: the call's eigensolve was loaded from the persistent
+	// store.
+	SourceStore = pipeline.SourceStore
+)
+
 // Artifacts is the per-component artifact cache the portfolio engine
 // shares among racing candidates: the Fiedler eigensolve, the
 // pseudo-peripheral root and the pseudo-diameter pair, each computed at

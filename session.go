@@ -61,11 +61,13 @@ type SessionOptions struct {
 // called concurrently from any number of goroutines; concurrent calls on
 // the same graph share cached artifacts instead of repeating work.
 //
-// The in-memory cache is tier 1: keyed by graph pointer, it lives and dies
-// with the Session. SessionOptions.Store adds a persistent tier 2 keyed by
-// content fingerprint — tier-1 misses are filled from the store before
-// solving and solves are written back, so eigensolves survive restarts and
-// pool across processes sharing one store.
+// The in-memory cache is tier 1: keyed by graph content (so distinct Graph
+// values with equal content share it), it lives and dies with the
+// Session. SessionOptions.Store adds a persistent tier 2 keyed by the same
+// content fingerprint plus the eigensolver options — tier-1 misses are
+// filled from the store before solving and solves are written back, so
+// eigensolves survive restarts and pool across processes sharing one
+// store. Result.Source reports which tier, if either, served a call.
 //
 // Caching never changes results: every cached artifact is a pure function
 // of the graph and the options, so Session calls are byte-identical to the
@@ -140,20 +142,25 @@ func (s *Session) OrderWeighted(ctx context.Context, g *Graph, algorithm string,
 // request's Seed defaults to the session's; its Artifacts and Workspace
 // fields are managed by the engine and should be left nil.
 func (s *Session) Do(ctx context.Context, g *Graph, algorithm string, req OrderRequest) (Result, error) {
-	return s.do(ctx, g, algorithm, req, true)
+	var slot BatchResult
+	s.do(ctx, g, algorithm, req, true, &slot)
+	return slot.Result, slot.Err
 }
 
-// do is Do with Result.Stats optional: the historical shims discard the
-// envelope parameters, so they skip that O(n+nnz) scan entirely rather
-// than compute and throw it away.
-func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, wantStats bool) (Result, error) {
+// do runs one ordering into slot — the single path behind Do, the
+// compatibility shims and every OrderBatch item. slot.Result.Perm's
+// capacity is reused, and Result.Solve/Info point into the slot.
+// Result.Stats is optional: the historical shims discard the envelope
+// parameters, so the orderer path skips that O(n+nnz) scan for them.
+func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderRequest, wantStats bool, slot *BatchResult) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	name := pipeline.Canonical(algorithm)
 	ord, ok := pipeline.Lookup(name)
 	if !ok {
-		return Result{}, fmt.Errorf("envred: unknown algorithm %q (registered: %v)", algorithm, Algorithms())
+		slot.Result, slot.Err = Result{}, fmt.Errorf("envred: unknown algorithm %q (registered: %v)", algorithm, Algorithms())
+		return
 	}
 	if req.Seed == 0 {
 		req.Seed = s.opt.Seed
@@ -167,7 +174,7 @@ func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	req.Algorithm = name
 	// On connected inputs, hand the orderer the session's memoized
 	// whole-graph artifact cache (eigensolve, peripheral root, pseudo-
-	// diameter): repeated Order calls on the same graph — and mixed
+	// diameter): repeated Order calls on the same content — and mixed
 	// SPECTRAL / SPECTRAL+SLOAN / BFS-rooted calls — then share the
 	// expensive precomputations. Artifacts are pure functions of
 	// (graph, options), so results stay byte-identical to the uncached
@@ -177,19 +184,56 @@ func (s *Session) do(ctx context.Context, g *Graph, algorithm string, req OrderR
 	// req.Spectral.Multilevel.FinestOp) bypasses the cache: the caller
 	// wants that exact instance driven (instrumented or preconditioned
 	// operators), and cached artifacts install their own.
-	cached := false
+	var art *Artifacts
+	resident := false
 	if req.Artifacts == nil && s.cache != nil && req.Spectral.Operator == nil &&
 		req.Spectral.Multilevel.FinestOp == nil && g.N() >= 3 {
-		req.Artifacts = s.cache.WholeIfConnected(g, req.Spectral)
-		cached = req.Artifacts != nil
+		art, resident = s.cache.WholeIfConnected(g, req.Spectral)
+		req.Artifacts = art
 	}
 	start := time.Now()
+	if name == pipeline.AlgSpectral && art != nil {
+		spectralInto(ctx, art, req.Workspace, slot)
+	} else {
+		slot.Result, slot.Err = orderChecked(ctx, ord, name, g, req, art != nil, wantStats)
+	}
+	slot.Result.Algorithm = name
+	slot.Result.Elapsed = time.Since(start)
+	if req.Weight == nil {
+		slot.Result.Source = pipeline.SourceOf(resident, art)
+	}
+}
+
+// spectralInto serves SPECTRAL from memoized whole-graph artifacts
+// without allocating on a warm slot: the ordering is copied into the
+// slot's Perm buffer, Solve/Info are backed by slot-owned values, and the
+// envelope statistics come from the artifact's own memo (SpectralStats)
+// instead of a fresh O(n+nnz) scan per call. The memoized ordering was
+// validated when it entered the memo (fresh solves by construction, store
+// hits by the tier-2 probe's Check), so orderChecked's re-validation is
+// not repeated. A failed solve leaves the same Result the SPECTRAL
+// Orderer reports for it. ws may be nil (see SpectralStats).
+func spectralInto(ctx context.Context, art *Artifacts, ws *Workspace, slot *BatchResult) {
+	o, stats, reversed, st, err := art.SpectralStats(ctx, ws)
+	p := slot.Result.Perm[:0]
+	slot.solve = st
+	pipeline.FillConnectedInfo(&slot.info, st, reversed, err)
+	slot.Result = Result{Solve: &slot.solve, Info: &slot.info}
+	slot.Err = err
+	if err == nil {
+		slot.Result.Perm = append(p, o...)
+		slot.Result.Stats = stats
+	}
+}
+
+// orderChecked runs a registered Orderer and validates what it returns.
+// req arrives by value so that only this path, whose Orderer call takes
+// its address, moves a request to the heap.
+func orderChecked(ctx context.Context, ord Orderer, name string, g *Graph, req OrderRequest, cached, wantStats bool) (Result, error) {
 	// SafeOrder: a panicking registered Orderer becomes this call's error
 	// (*pipeline.PanicError, stack attached) — a third-party algorithm can
 	// fail a request, never the process hosting the Session.
 	res, err := pipeline.SafeOrder(ctx, ord, name, g, &req)
-	res.Algorithm = name
-	res.Elapsed = time.Since(start)
 	if err != nil {
 		return res, err
 	}
@@ -250,18 +294,20 @@ func (s *Session) AutoWith(ctx context.Context, g *Graph, opt AutoOptions) (Resu
 		solve := rep.Solve
 		res.Solve = &solve
 	}
+	res.Source = rep.Source
 	return res, err
 }
 
 // Fiedler computes the Fiedler vector of the connected graph g with the
 // session's eigensolver options, reporting the uniform solver statistics
-// (λ2 in Stats.Lambda). Repeated calls on the same graph are served from
-// the session's artifact cache — the eigensolve runs once.
-func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats, error) {
+// (λ2 in Stats.Lambda) and where the solve came from. Repeated calls on
+// the same content are served from the session's artifact cache — the
+// eigensolve runs once.
+func (s *Session) Fiedler(ctx context.Context, g *Graph) ([]float64, SolveStats, Source, error) {
 	return s.fiedler(ctx, g, s.spectral())
 }
 
-func (s *Session) fiedler(ctx context.Context, g *Graph, opt core.Options) ([]float64, SolveStats, error) {
+func (s *Session) fiedler(ctx context.Context, g *Graph, opt core.Options) ([]float64, SolveStats, Source, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -270,19 +316,23 @@ func (s *Session) fiedler(ctx context.Context, g *Graph, opt core.Options) ([]fl
 	// Caller-supplied operators bypass the cache for the same reason Do's
 	// do: the caller wants that exact instance driven, while cached
 	// artifacts install their own shared operator.
+	src := pipeline.SourceSolved
 	if s.cache != nil && opt.Operator == nil && opt.Multilevel.FinestOp == nil {
-		if a := s.cache.WholeIfConnected(g, opt); a != nil {
+		a, resident := s.cache.WholeIfConnected(g, opt)
+		if a != nil {
 			x, st, err := a.Fiedler(ctx, ws)
 			if x != nil {
 				// The memoized vector stays cache-owned; callers get a copy.
 				x = append([]float64(nil), x...)
 			}
-			return x, st, err
+			return x, st, pipeline.SourceOf(resident, a), err
 		}
+		src = pipeline.SourceOf(resident)
 	}
 	// No cache (or unspecified disconnected input): solve directly, exactly
 	// as the historical core path does.
-	return core.FiedlerConnectedWS(ctx, ws, g, opt)
+	x, st, err := core.FiedlerConnectedWS(ctx, ws, g, opt)
+	return x, st, src, err
 }
 
 // Reset drops the session's in-memory artifact cache, releasing every

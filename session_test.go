@@ -248,12 +248,12 @@ func TestSessionCachesEigensolvesAcrossCalls(t *testing.T) {
 	// Session.Fiedler is cached the same way (connected graph).
 	cg := envred.Grid(15, 11)
 	s3 := count(func() {
-		if _, _, err := sess.Fiedler(ctx, cg); err != nil {
+		if _, _, _, err := sess.Fiedler(ctx, cg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	s4 := count(func() {
-		if _, _, err := sess.Fiedler(ctx, cg); err != nil {
+		if _, _, _, err := sess.Fiedler(ctx, cg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -407,12 +407,12 @@ func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 	}
 
 	// Mutating a returned Fiedler vector must not corrupt the cache either.
-	x1, st1, err := sess.Fiedler(ctx, g)
+	x1, st1, _, err := sess.Fiedler(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x1[0] = 1e9
-	x2, st2, err := sess.Fiedler(ctx, g)
+	x2, st2, _, err := sess.Fiedler(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,6 +437,33 @@ func TestSessionOrderSharesEigensolveOnConnectedGraph(t *testing.T) {
 	}
 	if n := atomic.LoadInt64(&solves); n != 1 {
 		t.Fatalf("%d eigensolves across SPECTRAL, SPECTRAL+SLOAN, SPECTRAL, RCM — the session cache should share one", n)
+	}
+}
+
+// The session cache is keyed by content: a second Graph value with the
+// same content is served from the first one's artifacts, byte-identically
+// and without a second eigensolve, and reports where it came from.
+func TestSessionCacheKeyedByContent(t *testing.T) {
+	sess := envred.NewSession(envred.SessionOptions{Seed: 4})
+	ctx := context.Background()
+	first, second := envred.Grid(13, 10), envred.Grid(13, 10)
+	before := core.EigensolveCount()
+	a, err := sess.Order(ctx, first, envred.AlgSpectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sess.Order(ctx, second, envred.AlgSpectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := core.EigensolveCount() - before; n != 1 {
+		t.Fatalf("%d eigensolves for two equal-content graphs, want 1", n)
+	}
+	if a.Source != envred.SourceSolved || b.Source != envred.SourceMemory {
+		t.Fatalf("sources %v then %v, want solved then memory", a.Source, b.Source)
+	}
+	if !a.Perm.Equal(b.Perm) || a.Stats != b.Stats || *a.Info != *b.Info || *a.Solve != *b.Solve {
+		t.Fatal("equal-content graphs got different results")
 	}
 }
 
@@ -480,7 +507,7 @@ func TestReportClaimsOnlyConsumedEigensolves(t *testing.T) {
 	g := envred.Grid(13, 9)
 	sess := envred.NewSession(envred.SessionOptions{Seed: 2})
 	ctx := context.Background()
-	if _, _, err := sess.Fiedler(ctx, g); err != nil {
+	if _, _, _, err := sess.Fiedler(ctx, g); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sess.AutoWith(ctx, g, envred.AutoOptions{Seed: 2, Portfolio: []string{envred.AlgRCM, envred.AlgSloan}})

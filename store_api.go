@@ -108,7 +108,8 @@ func NewCountedStore(s Store, observe func(op string, seconds float64)) *Counted
 	return store.NewCounted(s, observe)
 }
 
-// FingerprintOf computes g's canonical content fingerprint.
+// FingerprintOf returns g's canonical content fingerprint — the key of
+// the Session cache, hashed once per Graph and memoized on it.
 func FingerprintOf(g *Graph) GraphFingerprint { return graph.FingerprintOf(g) }
 
 // StoreKeyFor computes the persistent-store key for g's artifacts under

@@ -36,6 +36,9 @@ func TestSessionStoreWarmAcrossSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Source != envred.SourceSolved {
+			t.Errorf("cold session reported source %v, want solved", res.Source)
+		}
 		coldPerm = res.Perm
 	})
 	if cold == 0 {
@@ -48,6 +51,9 @@ func TestSessionStoreWarmAcrossSessions(t *testing.T) {
 		res, err := sess.Order(ctx, envred.Grid(12, 9), envred.AlgSpectral)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Source != envred.SourceStore {
+			t.Errorf("fresh session over a warm store reported source %v, want store", res.Source)
 		}
 		warmPerm = res.Perm
 	})
@@ -74,7 +80,7 @@ func TestSessionStoreFiedlerAndDisabledCache(t *testing.T) {
 		n := countStoreSolves(func() {
 			sess := envred.NewSession(envred.SessionOptions{Seed: 4, CacheGraphs: -1, Store: st})
 			var err error
-			x, _, err = sess.Fiedler(ctx, envred.Grid(10, 10))
+			x, _, _, err = sess.Fiedler(ctx, envred.Grid(10, 10))
 			if err != nil {
 				t.Fatal(err)
 			}
