@@ -236,6 +236,9 @@ func TestOrderBatchSharedSessionRace(t *testing.T) {
 // property: once the session's artifacts are warm and the result slots are
 // recycled, a whole batch of cached SPECTRAL orderings allocates nothing.
 func TestOrderBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds: sync.Pool.Put drops one item in four on purpose, so pool refills land in the count; the plain test run and the OrderBatch benchmark gate 0 allocs")
+	}
 	graphs := []*envred.Graph{grid(9, 11), grid(16, 16), path(150), grid(31, 7)}
 	sess := envred.NewSession(envred.SessionOptions{Seed: 13, CacheGraphs: len(graphs)})
 	results, err := sess.OrderBatch(context.Background(), graphs, envred.BatchOptions{Algorithm: "SPECTRAL", Workers: 1})

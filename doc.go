@@ -12,9 +12,9 @@
 //   - a unified eigensolver engine (internal/solver): one Solver interface
 //     with uniform statistics (matvecs, RQI iterations, Jacobi sweeps,
 //     hierarchy depth, residual, convergence) implemented by a Lanczos
-//     solver, the multilevel Fiedler scheme of §3 (maximal-independent-set
+//     solver and the multilevel Fiedler scheme of §3 (maximal-independent-set
 //     contraction, interpolation, Rayleigh Quotient Iteration with MINRES
-//     inner solves) and standalone RQI refinement,
+//     inner solves),
 //   - the spectral ordering itself (Algorithm 1) plus the spectral–Sloan
 //     hybrid the paper's closing section anticipates,
 //   - the classical competitors: reverse Cuthill–McKee, Gibbs–Poole–
@@ -179,8 +179,8 @@
 //
 // Every Fiedler computation goes through the unified engine in
 // internal/solver: a Solver interface (Solve(ctx, ws, g) → vector,
-// SolveStats, error) implemented by the direct Lanczos solver, the §3
-// multilevel scheme and standalone RQI, with the context checked in the
+// SolveStats, error) implemented by the direct Lanczos solver and the §3
+// multilevel scheme, with the context checked in the
 // restart and V-cycle loops so cancellation and budgets interrupt real
 // work. SpectralOptions.Method picks the scheme
 // (MethodAuto crosses from Lanczos to multilevel above

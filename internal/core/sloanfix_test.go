@@ -54,8 +54,8 @@ func TestSpectralSloanEigensolvesOncePerComponent(t *testing.T) {
 		return solves, info, p
 	}
 
-	spectralSolves, spectralInfo, _ := countSolves(func() (perm.Perm, Info, error) { return Spectral(g, opt) })
-	sloanSolves, sloanInfo, p := countSolves(func() (perm.Perm, Info, error) { return SpectralSloan(g, opt) })
+	spectralSolves, spectralInfo, _ := countSolves(func() (perm.Perm, Info, error) { return spectral(g, opt) })
+	sloanSolves, sloanInfo, p := countSolves(func() (perm.Perm, Info, error) { return spectralSloan(g, opt) })
 
 	// Three components have n > 1 (grids and the path) plus the edge pair;
 	// the singleton takes the n==1 fast path with no solve.
@@ -84,11 +84,11 @@ func TestSpectralSloanEigensolvesOncePerComponent(t *testing.T) {
 func TestSpectralSloanDisconnectedQuality(t *testing.T) {
 	g := disconnectedFixture()
 	opt := Options{Seed: 3}
-	ps, _, err := Spectral(g, opt)
+	ps, _, err := spectral(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, _, err := SpectralSloan(g, opt)
+	ph, _, err := spectralSloan(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSpectralSloanDisconnectedQuality(t *testing.T) {
 func TestSpectralSliceMatchesComponentRun(t *testing.T) {
 	g := disconnectedFixture()
 	opt := Options{Seed: 5}
-	global, _, err := Spectral(g, opt)
+	global, _, err := spectral(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSpectralSliceMatchesComponentRun(t *testing.T) {
 		seg := global[off : off+len(comp)]
 		off += len(comp)
 		sub, old := g.Subgraph(comp)
-		local, _, err := Spectral(sub, opt)
+		local, _, err := spectral(sub, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

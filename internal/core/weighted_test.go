@@ -20,7 +20,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, infoU, err := Spectral(g, Options{Method: MethodLanczos, Seed: 4})
+	pu, infoU, err := spectral(g, Options{Method: MethodLanczos, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

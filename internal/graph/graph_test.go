@@ -210,11 +210,13 @@ func TestLevelStructureLevelsPartition(t *testing.T) {
 	}
 }
 
+// A level structure's LevelOf is the BFS distance from its root, -1 for
+// vertices the root cannot reach.
 func TestDistancesUnreachable(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1) // component {0,1}; 2 and 3 isolated
 	g := b.Build()
-	d := Distances(g, 0)
+	d := NewLevelStructure(g, 0).LevelOf
 	if d[0] != 0 || d[1] != 1 || d[2] != -1 || d[3] != -1 {
 		t.Fatalf("distances = %v", d)
 	}

@@ -316,7 +316,7 @@ func TestMINRESSPD(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res := MINRES(op, b, x, MINRESOptions{Tol: 1e-12})
+	res := MINRESWS(op, b, x, MINRESOptions{Tol: 1e-12}, &MINRESWork{})
 	if !res.Converged {
 		t.Fatalf("MINRES did not converge: %+v", res)
 	}
@@ -329,7 +329,7 @@ func TestMINRESSPD(t *testing.T) {
 }
 
 // MINRESWS with one reused work bundle must produce the same solution as
-// independent MINRES calls — even when recycled buffers held stale values
+// calls on fresh work bundles — even when recycled buffers held stale values
 // from a previous, differently-sized solve.
 func TestMINRESWSReusesWork(t *testing.T) {
 	var work MINRESWork
@@ -343,7 +343,7 @@ func TestMINRESWSReusesWork(t *testing.T) {
 		}
 		fresh := make([]float64, n)
 		reused := make([]float64, n)
-		rf := MINRES(op, b, fresh, MINRESOptions{Tol: 1e-12})
+		rf := MINRESWS(op, b, fresh, MINRESOptions{Tol: 1e-12}, &MINRESWork{})
 		rw := MINRESWS(op, b, reused, MINRESOptions{Tol: 1e-12}, &work)
 		if rf.Iterations != rw.Iterations || rf.Converged != rw.Converged {
 			t.Fatalf("trial %d: results differ: %+v vs %+v", trial, rf, rw)
@@ -369,7 +369,7 @@ func TestMINRESIndefinite(t *testing.T) {
 		b[i] = 1 / float64(i+1)
 	}
 	x := make([]float64, n)
-	res := MINRES(op, b, x, MINRESOptions{Tol: 1e-12})
+	res := MINRESWS(op, b, x, MINRESOptions{Tol: 1e-12}, &MINRESWork{})
 	if !res.Converged {
 		t.Fatalf("MINRES indefinite did not converge: %+v", res)
 	}
@@ -384,7 +384,7 @@ func TestMINRESIndefinite(t *testing.T) {
 func TestMINRESZeroRHS(t *testing.T) {
 	op := OpFunc{N: 4, F: func(x, y []float64) { copy(y, x) }}
 	x := []float64{9, 9, 9, 9}
-	res := MINRES(op, make([]float64, 4), x, MINRESOptions{})
+	res := MINRESWS(op, make([]float64, 4), x, MINRESOptions{}, &MINRESWork{})
 	if !res.Converged || Nrm2(x) != 0 {
 		t.Fatalf("zero rhs: %+v x=%v", res, x)
 	}
@@ -399,7 +399,7 @@ func TestMINRESMaxIter(t *testing.T) {
 	b[0] = 1
 	b[n-1] = -2
 	x := make([]float64, n)
-	res := MINRES(op, b, x, MINRESOptions{Tol: 1e-14, MaxIter: 1})
+	res := MINRESWS(op, b, x, MINRESOptions{Tol: 1e-14, MaxIter: 1}, &MINRESWork{})
 	if res.Converged {
 		t.Fatalf("claims convergence after 1 iter: %+v", res)
 	}

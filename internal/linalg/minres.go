@@ -98,18 +98,14 @@ func (wk *MINRESWork) grow(n int) {
 	wk.DOld2 = Grow(wk.DOld2, n)
 }
 
-// MINRES solves A·x = b for symmetric (possibly indefinite) A using the
+// MINRESWS solves A·x = b for symmetric (possibly indefinite) A using the
 // Paige–Saunders minimum-residual method. x is the output vector (its
-// initial content is ignored; the zero initial guess is used).
+// initial content is ignored; the zero initial guess is used). The work
+// vectors come from work; see MINRESWork.
 //
 // This is the inner solver of Rayleigh Quotient Iteration in the multilevel
 // Fiedler computation (the role SYMMLQ plays in Barnard–Simon's original
 // implementation).
-func MINRES(A Operator, b []float64, x []float64, opt MINRESOptions) MINRESResult {
-	return MINRESWS(A, b, x, opt, &MINRESWork{})
-}
-
-// MINRESWS is MINRES with caller-provided work vectors; see MINRESWork.
 func MINRESWS(A Operator, b []float64, x []float64, opt MINRESOptions, work *MINRESWork) MINRESResult {
 	n := A.Dim()
 	if opt.Tol == 0 {

@@ -3,6 +3,7 @@ package mm
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,6 +107,38 @@ func FuzzReadWeighted(f *testing.F) {
 					t.Fatalf("weight(%d,%d) = %v, oracle %v", v, u, g, w)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadHarwellBoeing checks that the Harwell–Boeing reader never panics
+// and either rejects its input or returns a valid graph. Inputs whose type
+// card declares more than fuzzMaxN rows are skipped.
+func FuzzReadHarwellBoeing(f *testing.F) {
+	for _, body := range []string{
+		hbRSA,
+		hbPSA,
+		strings.ReplaceAll(hbPSA, "\n", "\r\n"),
+		hbPSAWithType("PSA  -1 -1 0 0"),
+		hbPSAWithType("PSA  2 2 -3 0"),
+		"",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if lines := strings.SplitN(string(body), "\n", 4); len(lines) > 2 && len(lines[2]) >= 3 {
+			if dims := strings.Fields(lines[2][3:]); len(dims) > 0 {
+				if n, err := strconv.Atoi(dims[0]); err == nil && n > fuzzMaxN {
+					t.Skip("dimension too large to fuzz")
+				}
+			}
+		}
+		g, _, err := ReadHarwellBoeing(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("accepted an invalid graph: %v", verr)
 		}
 	})
 }

@@ -49,7 +49,9 @@ func parseFortranFormat(s string) (fortranFormat, error) {
 
 // readFixed reads count fixed-width fields laid out f.perLine per card.
 func readFixed(br *bufio.Reader, f fortranFormat, count int) ([]string, error) {
-	out := make([]string, 0, count)
+	// count comes from the header; grow past a small preallocation only as
+	// fields actually arrive, so a forged count cannot force the allocation.
+	out := make([]string, 0, min(count, 4096))
 	for len(out) < count {
 		line, err := br.ReadString('\n')
 		if line == "" && err != nil {
@@ -137,6 +139,9 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 	if err1 != nil || err2 != nil || err3 != nil {
 		return nil, nil, fmt.Errorf("mm: bad HB dimensions in %q", l3)
 	}
+	if nrow < 0 || ncol < 0 || nnz < 0 {
+		return nil, nil, fmt.Errorf("mm: negative HB dimensions in %q", l3)
+	}
 	if nrow != ncol {
 		return nil, nil, fmt.Errorf("mm: HB matrix is %dx%d, want square", nrow, ncol)
 	}
@@ -192,6 +197,9 @@ func ReadHarwellBoeing(r io.Reader) (*graph.Graph, func(u, v int) float64, error
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("mm: bad HB pointer %q", s)
+		}
+		if (i > 0 && v < colPtr[i-1]) || v > nnz+1 {
+			return nil, nil, fmt.Errorf("mm: HB pointer %d of column %d decreases or exceeds nnz+1 = %d", v, i+1, nnz+1)
 		}
 		colPtr[i] = v
 	}

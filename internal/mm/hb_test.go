@@ -80,6 +80,13 @@ func TestReadHarwellBoeingPattern(t *testing.T) {
 	}
 }
 
+// hbPSAWithType is hbPSA with its type-and-dimension card replaced.
+func hbPSAWithType(card string) string {
+	lines := strings.SplitAfter(hbPSA, "\n")
+	lines[2] = card + "\n"
+	return strings.Join(lines, "")
+}
+
 func TestReadHarwellBoeingErrors(t *testing.T) {
 	cases := map[string]string{
 		"elemental": strings.Replace(hbRSA, "RSA", "RSE", 1),
@@ -96,6 +103,16 @@ RSA                          2             2             1             0
      2     2     2
      1
   0.1E+01
+`,
+		"negative dimension":               hbPSAWithType("PSA  -1 -1 0 0"),
+		"negative dimension past pointers": hbPSAWithType("PSA  -5 -5 0 0"),
+		"negative nnz":                     hbPSAWithType("PSA  2 2 -3 0"),
+		"pointers decrease past nnz": `x
+             3             1             1             0             0
+PSA                          3             3             2             0
+(13I6)          (8I3)
+     1     5     2     3
+  2  3
 `,
 	}
 	for name, in := range cases {

@@ -50,7 +50,7 @@ func (f *refineFixture) refine() {
 	f.c.InterpolateInto(f.x, f.coarseX)
 	linalg.ProjectOutOnes(f.x)
 	linalg.Normalize(f.x)
-	JacobiSmoothWS(f.ws, f.g, f.op, f.x, 3)
+	jacobiSmooth(f.ws, f.g, f.op, f.x, 3)
 	rqiRefine(context.Background(), f.ws, f.op, f.x, RQIOptions{MaxIter: 2}, f.shifted)
 }
 

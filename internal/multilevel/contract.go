@@ -7,12 +7,11 @@
 // The coarsest graph (below CoarsestSize vertices) is solved directly with
 // Lanczos; the eigenvector is then carried back up the hierarchy.
 //
-// The solver is workspace-threaded: FiedlerWS, ContractWS and RQIWS draw
-// every per-level structure (coarse CSR arrays, domain maps, iterate and
-// MINRES work vectors) from a scratch.Workspace, so the hierarchy build and
-// the V-cycle refinement run without per-level allocations once the arenas
-// are warm. The plain Fiedler/Contract/RQI entry points borrow a pooled
-// workspace and copy out anything they return.
+// The solver is workspace-threaded: FiedlerWS, ContractWS and the RQI
+// refinement draw every per-level structure (coarse CSR arrays, domain
+// maps, iterate and MINRES work vectors) from a scratch.Workspace, so the
+// hierarchy build and the V-cycle refinement run without per-level
+// allocations once the arenas are warm.
 package multilevel
 
 import (
@@ -33,18 +32,11 @@ type Contraction struct {
 	Centers []int32
 }
 
-// MaximalIndependentSet greedily selects a maximal independent set of g,
-// visiting vertices in a seeded random order (matching the paper's
-// description: "graph contraction is accomplished by first finding a
-// maximal independent set of vertices"). The result is sorted.
-func MaximalIndependentSet(g *graph.Graph, seed int64) []int32 {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	return misInto(ws, g, seed, make([]int32, 0, g.N()))
-}
-
-// misInto appends a sorted maximal independent set of g to mis, using ws
-// for the shuffle order and blocked flags. mis must have capacity ≥ g.N().
+// misInto greedily selects a maximal independent set of g, visiting
+// vertices in a seeded random order (matching the paper's description:
+// "graph contraction is accomplished by first finding a maximal independent
+// set of vertices"), and appends it, sorted, to mis. ws holds the shuffle
+// order and blocked flags. mis must have capacity ≥ g.N().
 func misInto(ws *scratch.Workspace, g *graph.Graph, seed int64, mis []int32) []int32 {
 	n := g.N()
 	m := ws.Mark()
@@ -72,34 +64,17 @@ func misInto(ws *scratch.Workspace, g *graph.Graph, seed int64, mis []int32) []i
 	return mis
 }
 
-// Contract builds one level of the hierarchy: the independent-set vertices
-// become the coarse vertices; domains are grown from them breadth-first
-// (multi-source BFS, ties broken by arrival order), and a coarse edge is
-// added whenever an edge of the fine graph joins two different domains —
-// "adding an edge to the contracted graph when two domains intersect".
+// ContractWS builds one level of the hierarchy: the independent-set
+// vertices become the coarse vertices; domains are grown from them
+// breadth-first (multi-source BFS, ties broken by arrival order), and a
+// coarse edge is added whenever an edge of the fine graph joins two
+// different domains — "adding an edge to the contracted graph when two
+// domains intersect".
 //
-// The result owns its storage; the hot path inside FiedlerWS uses
-// ContractWS instead.
-func Contract(g *graph.Graph, seed int64) *Contraction {
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	c := ContractWS(ws, g, seed)
-	nc := c.Coarse.N()
-	return &Contraction{
-		Coarse: &graph.Graph{
-			Xadj: append([]int32(nil), c.Coarse.Xadj...),
-			Adj:  append([]int32(nil), c.Coarse.Adj...),
-		},
-		DomainOf: append([]int32(nil), c.DomainOf...),
-		Centers:  append([]int32(nil), c.Centers[:nc]...),
-	}
-}
-
-// ContractWS is Contract with every output and temporary drawn from ws: the
-// returned Contraction (coarse CSR arrays, DomainOf, Centers) is backed by
-// ws arenas and is only valid until the enclosing ws.Release or
-// scratch.Put. The multilevel driver holds the whole hierarchy this way for
-// the duration of one solve.
+// Every output and temporary is drawn from ws: the returned Contraction
+// (coarse CSR arrays, DomainOf, Centers) is backed by ws arenas and is only
+// valid until the enclosing ws.Release or scratch.Put. FiedlerWS holds the
+// whole hierarchy this way for the duration of one solve.
 func ContractWS(ws *scratch.Workspace, g *graph.Graph, seed int64) *Contraction {
 	n := g.N()
 	// Persistent outputs are checked out before the scratch mark so that
@@ -210,17 +185,10 @@ func ContractWS(ws *scratch.Workspace, g *graph.Graph, seed int64) *Contraction 
 	return &Contraction{Coarse: coarse, DomainOf: domain, Centers: centers}
 }
 
-// Interpolate transfers a coarse vector to the fine graph by piecewise-
-// constant prolongation: each fine vertex takes the value of its domain.
-// The subsequent smoothing and RQI refinement remove the blockiness.
-func (c *Contraction) Interpolate(coarse []float64) []float64 {
-	fine := make([]float64, len(c.DomainOf))
-	c.InterpolateInto(fine, coarse)
-	return fine
-}
-
-// InterpolateInto is Interpolate into a caller-provided fine vector of
-// length len(c.DomainOf).
+// InterpolateInto transfers a coarse vector to the fine graph by
+// piecewise-constant prolongation: each fine vertex takes the value of its
+// domain. fine has length len(c.DomainOf). The subsequent smoothing and RQI
+// refinement remove the blockiness.
 func (c *Contraction) InterpolateInto(fine, coarse []float64) {
 	for v, d := range c.DomainOf {
 		fine[v] = coarse[d]

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"repro/internal/scratch"
 )
 
-// Property test over random connected graphs and seeds: Contract yields a
+// Property test over random connected graphs and seeds: ContractWS yields a
 // valid partition — every fine vertex mapped to exactly one in-range
 // domain, every domain anchored by its center, the coarse graph simple,
 // symmetric and strictly smaller.
@@ -17,7 +18,7 @@ func TestContractPartitionProperty(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		n := 60 + int(seed)*37
 		g := graph.Random(n, 2*n, seed)
-		c := Contract(g, seed)
+		c := ContractWS(scratch.New(), g, seed)
 		nc := c.Coarse.N()
 		if nc >= n {
 			t.Fatalf("seed %d: contraction did not shrink: %d -> %d", seed, n, nc)
@@ -81,33 +82,6 @@ func TestContractPartitionProperty(t *testing.T) {
 	}
 }
 
-// ContractWS must produce exactly what Contract produces (the public entry
-// point is a deep copy of the arena-backed result).
-func TestContractWSMatchesContract(t *testing.T) {
-	g := graph.Grid(18, 13)
-	want := Contract(g, 5)
-	ws := scratch.New()
-	got := ContractWS(ws, g, 5)
-	if got.Coarse.N() != want.Coarse.N() {
-		t.Fatalf("coarse sizes differ: %d vs %d", got.Coarse.N(), want.Coarse.N())
-	}
-	for v := range want.DomainOf {
-		if got.DomainOf[v] != want.DomainOf[v] {
-			t.Fatalf("DomainOf[%d] differs: %d vs %d", v, got.DomainOf[v], want.DomainOf[v])
-		}
-	}
-	for i := range want.Coarse.Xadj {
-		if got.Coarse.Xadj[i] != want.Coarse.Xadj[i] {
-			t.Fatalf("Xadj[%d] differs", i)
-		}
-	}
-	for i := range want.Coarse.Adj {
-		if got.Coarse.Adj[i] != want.Coarse.Adj[i] {
-			t.Fatalf("Adj[%d] differs", i)
-		}
-	}
-}
-
 // Interpolation round-trips shapes: the fine vector has one entry per fine
 // vertex, is constant on every domain, and averaging it back over each
 // domain recovers the coarse vector exactly (piecewise-constant
@@ -115,22 +89,18 @@ func TestContractWSMatchesContract(t *testing.T) {
 func TestInterpolateRoundTripShapes(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := graph.Random(120, 260, seed)
-		c := Contract(g, seed)
+		c := ContractWS(scratch.New(), g, seed)
 		nc := c.Coarse.N()
 		coarse := make([]float64, nc)
 		for i := range coarse {
 			coarse[i] = math.Sin(float64(i) * 0.7)
 		}
-		fine := c.Interpolate(coarse)
-		if len(fine) != g.N() {
-			t.Fatalf("seed %d: fine length %d, want %d", seed, len(fine), g.N())
+		if len(c.DomainOf) != g.N() {
+			t.Fatalf("seed %d: DomainOf length %d, want %d", seed, len(c.DomainOf), g.N())
 		}
-		fine2 := make([]float64, g.N())
-		c.InterpolateInto(fine2, coarse)
+		fine := make([]float64, g.N())
+		c.InterpolateInto(fine, coarse)
 		for v := range fine {
-			if fine[v] != fine2[v] {
-				t.Fatalf("seed %d: Interpolate and InterpolateInto disagree at %d", seed, v)
-			}
 			if fine[v] != coarse[c.DomainOf[v]] {
 				t.Fatalf("seed %d: vertex %d not constant on its domain", seed, v)
 			}
@@ -161,8 +131,7 @@ func TestRQIConvergesToAnalyticPathLambda2(t *testing.T) {
 			// Exact eigenvector cos(π(v+1/2)/n) plus a rough perturbation.
 			x[v] = math.Cos(math.Pi*(float64(v)+0.5)/float64(n)) + 0.03*math.Sin(float64(5*v))
 		}
-		ws := scratch.New()
-		res := RQIWS(ws, g, x, RQIOptions{})
+		res := rqi(g, x, RQIOptions{})
 		if math.Abs(res.Lambda-want) > 1e-6*(1+want) {
 			t.Fatalf("n=%d: RQI λ = %g, want %g (residual %g, iters %d)",
 				n, res.Lambda, want, res.Residual, res.Iterations)
@@ -178,7 +147,7 @@ func TestRQIConvergesToAnalyticPathLambda2(t *testing.T) {
 // Converged=false with a usable vector and a nonzero residual.
 func TestCoarsestPartialConvergenceSurfaces(t *testing.T) {
 	g := graph.Grid(40, 40)
-	res, err := Fiedler(g, Options{
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, Options{
 		CoarsestSize: 200,
 		Lanczos:      lanczos.Options{MaxBasis: 3, MaxRestarts: 1, Tol: 1e-14},
 	})
@@ -195,10 +164,7 @@ func TestCoarsestPartialConvergenceSurfaces(t *testing.T) {
 		t.Fatal("residual not recorded for partial solve")
 	}
 	// A healthy run reports Converged=true.
-	res, err = Fiedler(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = fiedler(t, g, Options{})
 	if !res.Converged {
 		t.Fatalf("healthy solve not converged (residual %g)", res.Residual)
 	}

@@ -1,24 +1,47 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/laplacian"
 	"repro/internal/linalg"
+	"repro/internal/scratch"
 )
+
+// fiedler, mis and rqi run the package's kernels on a fresh workspace and
+// an uncancelled context.
+func fiedler(t testing.TB, g *graph.Graph, opt Options) Result {
+	t.Helper()
+	res, err := FiedlerWS(context.Background(), scratch.New(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func mis(g *graph.Graph, seed int64) []int32 {
+	return misInto(scratch.New(), g, seed, make([]int32, 0, g.N()))
+}
+
+func rqi(g *graph.Graph, x []float64, opt RQIOptions) RQIResult {
+	ws := scratch.New()
+	op := laplacian.AutoFrom(g, ws.Float64s(g.N()))
+	return rqiRefine(context.Background(), ws, op, x, opt, &linalg.ShiftedOp{})
+}
 
 func TestMaximalIndependentSetIsIndependentAndMaximal(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.Random(80, 160, seed)
-		mis := MaximalIndependentSet(g, seed)
+		set := mis(g, seed)
 		inSet := make([]bool, g.N())
-		for _, v := range mis {
+		for _, v := range set {
 			inSet[v] = true
 		}
 		// Independence.
-		for _, v := range mis {
+		for _, v := range set {
 			for _, w := range g.Neighbors(int(v)) {
 				if inSet[w] {
 					t.Fatalf("seed %d: adjacent vertices %d,%d both in MIS", seed, v, w)
@@ -46,8 +69,8 @@ func TestMaximalIndependentSetIsIndependentAndMaximal(t *testing.T) {
 
 func TestMISDeterministic(t *testing.T) {
 	g := graph.Grid(10, 10)
-	a := MaximalIndependentSet(g, 3)
-	b := MaximalIndependentSet(g, 3)
+	a := mis(g, 3)
+	b := mis(g, 3)
 	if len(a) != len(b) {
 		t.Fatal("same seed different MIS size")
 	}
@@ -60,7 +83,7 @@ func TestMISDeterministic(t *testing.T) {
 
 func TestContractShrinksAndCovers(t *testing.T) {
 	g := graph.Grid(20, 20)
-	c := Contract(g, 1)
+	c := ContractWS(scratch.New(), g, 1)
 	if c.Coarse.N() >= g.N() {
 		t.Fatalf("no shrinkage: %d -> %d", g.N(), c.Coarse.N())
 	}
@@ -87,7 +110,7 @@ func TestContractShrinksAndCovers(t *testing.T) {
 func TestContractPreservesConnectivity(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.Random(150, 250, seed)
-		c := Contract(g, seed)
+		c := ContractWS(scratch.New(), g, seed)
 		if !graph.IsConnected(c.Coarse) {
 			t.Fatalf("seed %d: contraction disconnected a connected graph", seed)
 		}
@@ -97,7 +120,7 @@ func TestContractPreservesConnectivity(t *testing.T) {
 // Domains are connected: each domain grows by BFS from its center.
 func TestContractDomainsConnected(t *testing.T) {
 	g := graph.Grid(15, 15)
-	c := Contract(g, 2)
+	c := ContractWS(scratch.New(), g, 2)
 	for dom := 0; dom < c.Coarse.N(); dom++ {
 		var members []int
 		for v, d := range c.DomainOf {
@@ -114,12 +137,13 @@ func TestContractDomainsConnected(t *testing.T) {
 
 func TestInterpolate(t *testing.T) {
 	g := graph.Grid(8, 8)
-	c := Contract(g, 1)
+	c := ContractWS(scratch.New(), g, 1)
 	coarse := make([]float64, c.Coarse.N())
 	for i := range coarse {
 		coarse[i] = float64(i)
 	}
-	fine := c.Interpolate(coarse)
+	fine := make([]float64, g.N())
+	c.InterpolateInto(fine, coarse)
 	for v, d := range c.DomainOf {
 		if fine[v] != coarse[d] {
 			t.Fatalf("vertex %d: %v != domain value %v", v, fine[v], coarse[d])
@@ -136,7 +160,7 @@ func TestRQIRefinesPerturbedEigenvector(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x[i] = V.At(i, 1) + 0.05*math.Sin(float64(3*i))
 	}
-	res := RQI(g, x, RQIOptions{})
+	res := rqi(g, x, RQIOptions{})
 	if math.Abs(res.Lambda-eig[1]) > 1e-6*(1+eig[1]) {
 		t.Fatalf("RQI λ = %v, want %v (residual %v)", res.Lambda, eig[1], res.Residual)
 	}
@@ -145,7 +169,7 @@ func TestRQIRefinesPerturbedEigenvector(t *testing.T) {
 func TestRQIZeroInputRecovers(t *testing.T) {
 	g := graph.Path(20)
 	x := make([]float64, 20) // degenerate all-zero start
-	res := RQI(g, x, RQIOptions{MaxIter: 8})
+	res := rqi(g, x, RQIOptions{MaxIter: 8})
 	if linalg.Nrm2(x) == 0 {
 		t.Fatal("RQI left zero vector")
 	}
@@ -165,10 +189,7 @@ func TestFiedlerMatchesClosedFormsLarge(t *testing.T) {
 		{"Cycle500", graph.Cycle(500), 2 - 2*math.Cos(2*math.Pi/500)},
 	}
 	for _, tc := range cases {
-		res, err := Fiedler(tc.g, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		res := fiedler(t, tc.g, Options{})
 		if res.Levels < 2 {
 			t.Errorf("%s: expected multilevel hierarchy, got %d levels", tc.name, res.Levels)
 		}
@@ -183,10 +204,7 @@ func TestFiedlerMatchesClosedFormsLarge(t *testing.T) {
 
 func TestFiedlerSmallGraphDirect(t *testing.T) {
 	g := graph.Grid(6, 5) // below CoarsestSize ⇒ pure Lanczos
-	res, err := Fiedler(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{})
 	if res.Levels != 1 {
 		t.Fatalf("levels = %d, want 1", res.Levels)
 	}
@@ -200,10 +218,7 @@ func TestFiedlerVectorQuality(t *testing.T) {
 	// On a long path the multilevel vector must be (nearly) monotone —
 	// the property that makes the spectral ordering work.
 	g := graph.Path(2000)
-	res, err := Fiedler(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{})
 	x := res.Vector
 	// Count adjacent inversions; a good approximation has very few.
 	invUp, invDown := 0, 0
@@ -225,10 +240,7 @@ func TestFiedlerVectorQuality(t *testing.T) {
 
 func TestFiedlerOrthogonalToOnes(t *testing.T) {
 	g := graph.Random(3000, 6000, 4)
-	res, err := Fiedler(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{})
 	var sum float64
 	for _, v := range res.Vector {
 		sum += v
@@ -242,15 +254,15 @@ func TestFiedlerOrthogonalToOnes(t *testing.T) {
 }
 
 func TestFiedlerEmptyGraphError(t *testing.T) {
-	if _, err := Fiedler(graph.NewBuilder(0).Build(), Options{}); err == nil {
+	if _, err := FiedlerWS(context.Background(), scratch.New(), graph.NewBuilder(0).Build(), Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestFiedlerSingleton(t *testing.T) {
-	res, err := Fiedler(graph.NewBuilder(1).Build(), Options{})
-	if err != nil || len(res.Vector) != 1 {
-		t.Fatalf("singleton: %+v, %v", res, err)
+	res := fiedler(t, graph.NewBuilder(1).Build(), Options{})
+	if len(res.Vector) != 1 {
+		t.Fatalf("singleton: %+v", res)
 	}
 }
 
@@ -301,9 +313,10 @@ func TestTheorem25Connectivity(t *testing.T) {
 
 func BenchmarkMultilevelFiedler(b *testing.B) {
 	g := graph.Grid(120, 120)
+	ws := scratch.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fiedler(g, Options{}); err != nil {
+		if _, err := FiedlerWS(context.Background(), ws, g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/scratch"
 )
 
 func TestMaxLevelsRespected(t *testing.T) {
 	g := graph.Grid(60, 60) // deep hierarchy if unconstrained
-	res, err := Fiedler(g, Options{CoarsestSize: 10, MaxLevels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{CoarsestSize: 10, MaxLevels: 3})
 	if res.Levels > 3 {
 		t.Fatalf("levels = %d, want ≤ 3", res.Levels)
 	}
@@ -24,14 +22,8 @@ func TestMaxLevelsRespected(t *testing.T) {
 
 func TestCoarsestSizeControlsDepth(t *testing.T) {
 	g := graph.Grid(50, 50)
-	shallow, err := Fiedler(g, Options{CoarsestSize: 1200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deep, err := Fiedler(g, Options{CoarsestSize: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shallow := fiedler(t, g, Options{CoarsestSize: 1200})
+	deep := fiedler(t, g, Options{CoarsestSize: 30})
 	if deep.Levels <= shallow.Levels {
 		t.Fatalf("deep %d levels vs shallow %d", deep.Levels, shallow.Levels)
 	}
@@ -51,7 +43,7 @@ func TestRQIInnerIterationCap(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%13) - 6
 	}
-	res := RQI(g, x, RQIOptions{MaxIter: 2, InnerMaxIter: 5})
+	res := rqi(g, x, RQIOptions{MaxIter: 2, InnerMaxIter: 5})
 	if res.InnerIters > 2*5 {
 		t.Fatalf("inner iterations %d exceed cap", res.InnerIters)
 	}
@@ -61,10 +53,7 @@ func TestContractOnCompleteGraph(t *testing.T) {
 	// On K_n the MIS is a single vertex: contraction collapses to 1 vertex
 	// and the driver must stop cleanly rather than loop.
 	g := graph.Complete(30)
-	res, err := Fiedler(g, Options{CoarsestSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{CoarsestSize: 5})
 	if res.Lambda < 25 || res.Lambda > 31 {
 		t.Fatalf("K30 λ2 estimate %v far from 30", res.Lambda)
 	}
@@ -73,9 +62,9 @@ func TestContractOnCompleteGraph(t *testing.T) {
 func TestContractEdgelessGraph(t *testing.T) {
 	// Every vertex is its own domain; no shrinkage is possible and the
 	// driver must not loop forever (Fiedler handles it per component at
-	// the caller level; here we exercise Contract directly).
+	// the caller level; here we exercise ContractWS directly).
 	g := graph.FromEdges(6, nil)
-	c := Contract(g, 1)
+	c := ContractWS(scratch.New(), g, 1)
 	if c.Coarse.N() != 6 {
 		t.Fatalf("edgeless contraction changed size: %d", c.Coarse.N())
 	}
@@ -86,10 +75,7 @@ func TestSmoothStepsZeroUsesDefault(t *testing.T) {
 	// SmoothSteps 0 means "default", and negative values are the caller's
 	// way to request... there is no negative semantics: ensure default path
 	// converges.
-	res, err := Fiedler(g, Options{SmoothSteps: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fiedler(t, g, Options{SmoothSteps: 0})
 	if res.Lambda <= 0 {
 		t.Fatalf("λ = %v", res.Lambda)
 	}

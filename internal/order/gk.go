@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/perm"
+	"repro/internal/scratch"
 )
 
 // GK computes the Gibbs–King ordering (Gibbs' "hybrid profile reduction"
@@ -13,19 +14,19 @@ import (
 // minimum-frontwidth-growth numbering inside each level, then reversal.
 // GK is the envelope champion among the local algorithms in the paper.
 func GK(g *graph.Graph) perm.Perm {
-	return overComponents(g, gkComponent)
+	ws := scratch.Get()
+	defer scratch.Put(ws)
+	return overComponentsWS(ws, g, gkComponentInto)
 }
 
-func gkComponent(g *graph.Graph) []int32 {
-	n := g.N()
-	if n == 0 {
-		return nil
+func gkComponentInto(_ *scratch.Workspace, g *graph.Graph, out []int32) []int32 {
+	switch g.N() {
+	case 0:
+		return out
+	case 1:
+		return append(out, 0)
 	}
-	if n == 1 {
-		return []int32{0}
-	}
-	c := diameterAndCombine(g)
-	return gkNumber(g, c)
+	return append(out, gkNumber(g, diameterAndCombine(g))...)
 }
 
 func gkNumber(g *graph.Graph, c *combined) []int32 {
@@ -218,15 +219,17 @@ func better(g *graph.Graph, w, incumbent int32) bool {
 // Provided both as a baseline in its own right and as the reference the
 // GK within-level variant is tested against.
 func King(g *graph.Graph) perm.Perm {
-	return overComponents(g, kingComponent)
+	ws := scratch.Get()
+	defer scratch.Put(ws)
+	return overComponentsWS(ws, g, kingComponentInto)
 }
 
-func kingComponent(g *graph.Graph) []int32 {
+func kingComponentInto(_ *scratch.Workspace, g *graph.Graph, out []int32) []int32 {
 	if g.N() == 0 {
-		return nil
+		return out
 	}
 	root, _ := graph.PseudoPeripheral(g, 0)
-	return kingRooted(g, root)
+	return append(out, kingRooted(g, root)...)
 }
 
 // KingFromRoot is King's ordering of the connected graph g from a
@@ -257,7 +260,7 @@ func kingRooted(g *graph.Graph, root int) []int32 {
 			break
 		}
 		if pick < 0 {
-			break // disconnected remainder; overComponents prevents this
+			break // disconnected remainder; overComponentsWS prevents this
 		}
 		touched = touched[:0]
 		ks.place(pick, &touched)

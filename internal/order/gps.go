@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/perm"
+	"repro/internal/scratch"
 )
 
 // GPS computes the Gibbs–Poole–Stockmeyer ordering: pseudo-diameter, level
@@ -13,19 +14,19 @@ import (
 // bandwidth and never hurts the envelope). GPS is the bandwidth champion in
 // the paper's tables.
 func GPS(g *graph.Graph) perm.Perm {
-	return overComponents(g, gpsComponent)
+	ws := scratch.Get()
+	defer scratch.Put(ws)
+	return overComponentsWS(ws, g, gpsComponentInto)
 }
 
-func gpsComponent(g *graph.Graph) []int32 {
-	n := g.N()
-	if n == 0 {
-		return nil
+func gpsComponentInto(_ *scratch.Workspace, g *graph.Graph, out []int32) []int32 {
+	switch g.N() {
+	case 0:
+		return out
+	case 1:
+		return append(out, 0)
 	}
-	if n == 1 {
-		return []int32{0}
-	}
-	c := diameterAndCombine(g)
-	return gpsNumber(g, c)
+	return append(out, gpsNumber(g, diameterAndCombine(g))...)
 }
 
 func gpsNumber(g *graph.Graph, c *combined) []int32 {

@@ -9,10 +9,12 @@
 // concatenating. All return permutations in the repository's new→old
 // convention.
 //
-// The *WS variants take a scratch.Workspace and are what the parallel
-// pipeline calls: component extraction and the BFS bookkeeping run off
-// reusable arenas instead of per-call allocations. The plain functions
-// borrow a pooled workspace and are otherwise identical.
+// Every whole-graph ordering runs its components through one
+// workspace-threaded loop, overComponentsWS, so component extraction and
+// the BFS bookkeeping run off reusable arenas. CuthillMcKee, RCM and Sloan also
+// come as *WS variants taking the caller's scratch.Workspace, which the
+// pipeline calls; their plain forms stay because the public envred API
+// re-exports them and perfbench imports RCM and Sloan.
 package order
 
 import (
@@ -23,34 +25,12 @@ import (
 	"repro/internal/scratch"
 )
 
-// overComponents runs a per-component ordering function over every
-// connected component of g and concatenates the results. f receives the
-// component subgraph and must return a new→old ordering of it; old labels
-// are translated back to g's labels. Component subgraphs are extracted
-// into one reused buffer, so f must not retain its argument.
-func overComponents(g *graph.Graph, f func(*graph.Graph) []int32) perm.Perm {
-	if graph.IsConnected(g) {
-		local := f(g)
-		out := make(perm.Perm, len(local))
-		copy(out, local)
-		return out
-	}
-	ws := scratch.Get()
-	defer scratch.Put(ws)
-	out := make(perm.Perm, 0, g.N())
-	var sub graph.Graph
-	for _, comp := range graph.Components(g) {
-		g.SubgraphInto(ws, &sub, comp)
-		for _, v := range f(&sub) {
-			out = append(out, int32(comp[v]))
-		}
-	}
-	return out
-}
-
-// overComponentsWS is the workspace-threaded dispatch: f appends its
-// component ordering (in component-local labels) to out and returns the
-// extended slice; labels are translated to g's in place afterwards.
+// overComponentsWS runs a per-component ordering function over every
+// connected component of g and concatenates the results: f appends its
+// component ordering (new→old, in component-local labels) to out and
+// returns the extended slice; labels are translated to g's in place
+// afterwards. Component subgraphs are extracted into one reused buffer, so
+// f must not retain its argument.
 func overComponentsWS(ws *scratch.Workspace, g *graph.Graph, f func(ws *scratch.Workspace, sub *graph.Graph, out []int32) []int32) perm.Perm {
 	n := g.N()
 	out := make([]int32, 0, n)
@@ -116,6 +96,7 @@ func cmRootedInto(ws *scratch.Workspace, g *graph.Graph, root int, out []int32) 
 }
 
 // CuthillMcKee returns the Cuthill–McKee ordering of g.
+// Kept beside CuthillMcKeeWS for envred.CuthillMcKee.
 func CuthillMcKee(g *graph.Graph) perm.Perm {
 	ws := scratch.Get()
 	defer scratch.Put(ws)
@@ -130,6 +111,7 @@ func CuthillMcKeeWS(ws *scratch.Workspace, g *graph.Graph) perm.Perm {
 // RCM returns the reverse Cuthill–McKee ordering — the SPARSPAK standard
 // the paper benchmarks. Reversal leaves the bandwidth unchanged but never
 // increases (and usually shrinks) the envelope (Liu & Sherman 1976).
+// Kept beside RCMWS for envred.RCM and perfbench.
 func RCM(g *graph.Graph) perm.Perm {
 	ws := scratch.Get()
 	defer scratch.Put(ws)

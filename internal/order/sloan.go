@@ -23,7 +23,7 @@ func DefaultSloanWeights() SloanWeights { return SloanWeights{W1: 1, W2: 2} }
 // proposing exactly this kind of "limited use of a local reordering
 // strategy" to improve spectral envelopes; the spectral–Sloan hybrid in
 // internal/core uses this machinery with spectral positions as the global
-// term.
+// term. Kept beside SloanWS for envred.Sloan and perfbench.
 func Sloan(g *graph.Graph) perm.Perm {
 	ws := scratch.Get()
 	defer scratch.Put(ws)

@@ -34,18 +34,6 @@ func Random(n int, seed int64) Perm {
 	return p
 }
 
-// Valid reports whether p is a permutation of {0,...,len(p)-1}.
-func (p Perm) Valid() bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || int(v) >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // Check returns a descriptive error if p is not a valid permutation.
 func (p Perm) Check() error {
 	seen := make([]bool, len(p))
@@ -81,21 +69,6 @@ func (p Perm) Reverse() Perm {
 	return r
 }
 
-// Compose returns the permutation "apply q, then p": out[k] = q[p[k]].
-// In ordering terms, if p places old labels of an intermediate ordering and
-// q maps intermediate labels to original labels, the result places original
-// labels directly.
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("perm: compose length mismatch %d vs %d", len(p), len(q)))
-	}
-	out := make(Perm, len(p))
-	for k, v := range p {
-		out[k] = q[v]
-	}
-	return out
-}
-
 // Clone returns a copy of p.
 func (p Perm) Clone() Perm {
 	return append(Perm(nil), p...)
@@ -112,22 +85,4 @@ func (p Perm) Equal(q Perm) bool {
 		}
 	}
 	return true
-}
-
-// FromInts converts an []int permutation (new→old) to a Perm.
-func FromInts(xs []int) Perm {
-	p := make(Perm, len(xs))
-	for i, x := range xs {
-		p[i] = int32(x)
-	}
-	return p
-}
-
-// Ints converts p to []int.
-func (p Perm) Ints() []int {
-	xs := make([]int, len(p))
-	for i, v := range p {
-		xs[i] = int(v)
-	}
-	return xs
 }

@@ -1,7 +1,6 @@
 package perm
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,16 +8,16 @@ import (
 
 func TestIdentity(t *testing.T) {
 	p := Identity(5)
-	if !p.Valid() {
-		t.Fatal("identity invalid")
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
 	}
 	for i, v := range p {
 		if int(v) != i {
 			t.Fatalf("Identity[%d] = %d", i, v)
 		}
 	}
-	if !Identity(0).Valid() {
-		t.Fatal("empty identity invalid")
+	if err := Identity(0).Check(); err != nil {
+		t.Fatalf("empty identity: %v", err)
 	}
 }
 
@@ -26,8 +25,8 @@ func TestRandomIsValidAndDeterministic(t *testing.T) {
 	a := Random(100, 42)
 	b := Random(100, 42)
 	c := Random(100, 43)
-	if !a.Valid() {
-		t.Fatal("random perm invalid")
+	if err := a.Check(); err != nil {
+		t.Fatalf("random perm: %v", err)
 	}
 	if !a.Equal(b) {
 		t.Fatal("same seed gave different permutations")
@@ -45,15 +44,12 @@ func TestValidRejects(t *testing.T) {
 		{0, 2, 1, 3, 3}, // duplicate later
 	}
 	for _, p := range cases {
-		if p.Valid() {
-			t.Errorf("Valid(%v) = true", p)
-		}
 		if p.Check() == nil {
 			t.Errorf("Check(%v) = nil", p)
 		}
 	}
-	if !(Perm{2, 0, 1}).Valid() {
-		t.Error("valid perm rejected")
+	if err := (Perm{2, 0, 1}).Check(); err != nil {
+		t.Errorf("valid perm rejected: %v", err)
 	}
 }
 
@@ -66,7 +62,12 @@ func TestInverseProperty(t *testing.T) {
 		p := Random(n, seed)
 		inv := p.Inverse()
 		// p ∘ inv = inv ∘ p = identity.
-		return p.Compose(inv).Equal(Identity(n)) && inv.Compose(p).Equal(Identity(n))
+		for k := range p {
+			if p[inv[k]] != int32(k) || inv[p[k]] != int32(k) {
+				return false
+			}
+		}
+		return len(inv) == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -89,39 +90,9 @@ func TestReverseEnvelopeInvariant(t *testing.T) {
 	// Reversal preserves validity for random permutations.
 	for seed := int64(0); seed < 20; seed++ {
 		p := Random(30, seed)
-		if !p.Reverse().Valid() {
-			t.Fatalf("seed %d: reversed perm invalid", seed)
+		if err := p.Reverse().Check(); err != nil {
+			t.Fatalf("seed %d: reversed perm: %v", seed, err)
 		}
-	}
-}
-
-func TestComposeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := rng.Intn(40) + 1
-		a, b, c := Random(n, rng.Int63()), Random(n, rng.Int63()), Random(n, rng.Int63())
-		left := a.Compose(b).Compose(c)
-		right := a.Compose(b.Compose(c))
-		if !left.Equal(right) {
-			t.Fatalf("compose not associative at n=%d", n)
-		}
-	}
-}
-
-func TestComposePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	Identity(3).Compose(Identity(4))
-}
-
-func TestIntsRoundTrip(t *testing.T) {
-	p := Random(37, 5)
-	q := FromInts(p.Ints())
-	if !p.Equal(q) {
-		t.Fatal("Ints/FromInts round trip failed")
 	}
 }
 

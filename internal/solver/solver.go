@@ -1,12 +1,12 @@
 // Package solver defines the unified eigensolver engine behind the
 // spectral ordering: a single Solver interface with uniform per-solve
-// statistics, implemented by the direct Lanczos solver, the §3 multilevel
-// scheme and standalone Rayleigh Quotient Iteration.
+// statistics, implemented by the direct Lanczos solver and the §3
+// multilevel scheme.
 //
 // The abstraction exists so every layer above — internal/core's Algorithm 1
 // dispatch, the portfolio pipeline's per-component artifact cache, the
 // harness tables and the benchmark tooling — consumes one instrumented
-// surface instead of three ad-hoc result types. Every Solve threads a
+// surface instead of ad-hoc per-scheme result types. Every Solve threads a
 // scratch.Workspace down into the hierarchy construction and V-cycle
 // refinement, so repeated solves on warm arenas run without per-level
 // allocations.
@@ -15,13 +15,10 @@ package solver
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/lanczos"
 	"repro/internal/laplacian"
-	"repro/internal/linalg"
 	"repro/internal/multilevel"
 	"repro/internal/scratch"
 )
@@ -30,7 +27,6 @@ import (
 const (
 	SchemeLanczos    = "lanczos"
 	SchemeMultilevel = "multilevel"
-	SchemeRQI        = "rqi"
 )
 
 // Stats is the uniform per-solve telemetry every Solver reports. Counters
@@ -92,7 +88,7 @@ func (s *Stats) Accumulate(o Stats) {
 // returned vector is freshly allocated (never workspace-backed) and safe to
 // retain; implementations use ws only for scratch.
 type Solver interface {
-	// Name identifies the scheme ("lanczos", "multilevel", "rqi").
+	// Name identifies the scheme ("lanczos", "multilevel").
 	Name() string
 	// Solve computes the Fiedler pair of the connected graph g. A non-nil
 	// error means no usable vector was produced; partial convergence is
@@ -190,65 +186,4 @@ func (s Multilevel) Solve(ctx context.Context, ws *scratch.Workspace, g *graph.G
 		return res.Vector, st, err
 	}
 	return res.Vector, st, nil
-}
-
-// RQI is standalone Rayleigh Quotient Iteration from a supplied (or seeded
-// random, Jacobi-smoothed) start vector. RQI converges cubically to the
-// eigenpair nearest its start, so it is a refinement scheme, not a global
-// solver: use it to polish an approximate Fiedler vector, or for ablations
-// against the full multilevel driver.
-type RQI struct {
-	Opt multilevel.RQIOptions
-	// SmoothSteps smooths a random start toward the low end of the spectrum
-	// before iterating (ignored when Start is set). Default 10.
-	SmoothSteps int
-	// Seed drives the random start vector.
-	Seed int64
-	// Start, when non-nil, is the initial iterate (copied, not modified).
-	Start []float64
-}
-
-// Name implements Solver.
-func (RQI) Name() string { return SchemeRQI }
-
-// Solve implements Solver.
-func (s RQI) Solve(ctx context.Context, ws *scratch.Workspace, g *graph.Graph) ([]float64, Stats, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, Stats{Scheme: SchemeRQI}, fmt.Errorf("solver: empty graph")
-	}
-	x := make([]float64, n)
-	st := Stats{Scheme: SchemeRQI, Levels: 1, CoarsestN: n}
-	if s.Start != nil {
-		if len(s.Start) != n {
-			return nil, st, fmt.Errorf("solver: rqi start has length %d, want %d", len(s.Start), n)
-		}
-		copy(x, s.Start)
-	} else {
-		rng := rand.New(rand.NewSource(s.Seed*2654435761 + 12345))
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		linalg.ProjectOutOnes(x)
-		linalg.Normalize(x)
-	}
-	m := ws.Mark()
-	defer ws.Release(m)
-	op := laplacian.AutoFrom(g, ws.Float64s(n))
-	st.Workers = op.Workers()
-	if s.Start == nil {
-		steps := s.SmoothSteps
-		if steps == 0 {
-			steps = 10
-		}
-		st.MatVecs += multilevel.JacobiSmoothWS(ws, g, op, x, steps)
-		st.JacobiSweeps += steps
-	}
-	res := multilevel.RQIOnWS(ctx, ws, op, x, s.Opt)
-	st.Lambda = res.Lambda
-	st.Residual = res.Residual
-	st.MatVecs += res.MatVecs
-	st.RQIIterations = res.Iterations
-	st.Converged = res.Converged
-	return x, st, nil
 }

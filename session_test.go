@@ -13,7 +13,18 @@ import (
 	"repro/internal/laplacian"
 	"repro/internal/linalg"
 	"repro/internal/pipeline"
+	"repro/internal/scratch"
 )
+
+// spectral and spectralSloan are the uncached core orderings the shims and
+// the Session must reproduce, run on a fresh workspace.
+func spectral(g *envred.Graph, opt envred.SpectralOptions) (envred.Perm, envred.SpectralInfo, error) {
+	return core.SpectralWS(context.Background(), scratch.New(), g, opt)
+}
+
+func spectralSloan(g *envred.Graph, opt envred.SpectralOptions) (envred.Perm, envred.SpectralInfo, error) {
+	return core.SpectralSloanWS(context.Background(), scratch.New(), g, opt)
+}
 
 // lanczosUnreachable keeps the solver restarting until a hook fires.
 func lanczosUnreachable(maxBasis int) lanczos.Options {
@@ -55,7 +66,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
 		opt := envred.SpectralOptions{Seed: seed}
 
-		wantSpectral, wantInfo, err := core.Spectral(g, opt)
+		wantSpectral, wantInfo, err := spectral(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +75,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !gotSpectral.Equal(wantSpectral) {
-			t.Fatalf("seed %d: Spectral shim differs from core.Spectral", seed)
+			t.Fatalf("seed %d: Spectral shim differs from core.SpectralWS", seed)
 		}
 		if gotInfo != wantInfo {
 			t.Fatalf("seed %d: Spectral shim info differs:\n%+v\n%+v", seed, gotInfo, wantInfo)
@@ -75,13 +86,13 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Perm.Equal(wantSpectral) {
-			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from core.Spectral", seed)
+			t.Fatalf("seed %d: Session.Order(SPECTRAL) differs from core.SpectralWS", seed)
 		}
 		if res.Stats != envred.Stats(g, wantSpectral) {
 			t.Fatalf("seed %d: Session result stats wrong", seed)
 		}
 
-		wantHybrid, _, err := core.SpectralSloan(g, opt)
+		wantHybrid, _, err := spectralSloan(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +101,7 @@ func TestShimEquivalenceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !gotHybrid.Equal(wantHybrid) {
-			t.Fatalf("seed %d: SpectralSloan shim differs from core.SpectralSloan", seed)
+			t.Fatalf("seed %d: SpectralSloan shim differs from core.SpectralSloanWS", seed)
 		}
 
 		aopt := envred.AutoOptions{Seed: seed, Parallelism: 4}
@@ -351,7 +362,7 @@ func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 	ctx := context.Background()
 	opt := envred.SpectralOptions{Seed: 11}
 
-	wantP, wantInfo, err := core.Spectral(g, opt)
+	wantP, wantInfo, err := spectral(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +371,12 @@ func TestSessionConnectedCachePathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !gotP.Equal(wantP) {
-		t.Fatal("cached connected Spectral shim differs from core.Spectral")
+		t.Fatal("cached connected Spectral shim differs from core.SpectralWS")
 	}
 	if gotInfo != wantInfo {
 		t.Fatalf("cached connected Spectral info differs:\n got %+v\nwant %+v", gotInfo, wantInfo)
 	}
-	wantH, wantHInfo, err := core.SpectralSloan(g, opt)
+	wantH, wantHInfo, err := spectralSloan(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
